@@ -39,9 +39,16 @@ def _parse_bool(text: str) -> bool:
         raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(_parse_float(x) for x in text.split(","))
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
 
@@ -54,26 +61,26 @@ KNOWN_KEYS = {
     "protocol.initial": (str, "ground | thermal | level1"),
     "model.kind": (str, "ideal | lindblad | lindblad_depol"),
     "decoherence.preset": (str, "sample1 | sample2"),
-    "decoherence.omega01_hz": (float, "0-1 transition frequency (plain Hz)"),
-    "decoherence.omega12_hz": (float, "1-2 transition frequency (plain Hz)"),
-    "decoherence.gamma10_hz": (float, "zero-temperature 1->0 decay rate (1/s)"),
-    "decoherence.gamma21_hz": (float, "zero-temperature 2->1 decay rate (1/s)"),
-    "decoherence.gphi10_hz": (float, "0-1 transition dephasing rate (1/s)"),
-    "decoherence.gphi21_hz": (float, "1-2 transition dephasing rate (1/s)"),
-    "decoherence.gphi02_hz": (float, "0-2 transition dephasing rate (1/s)"),
-    "decoherence.temperature_k": (float, "effective temperature (K)"),
-    "pulse.s_duration_ns": (float, "beam-splitter pulse duration"),
-    "pulse.b_duration_ns": (float, "probe pulse duration"),
-    "pulse.sampling_rate_hz": (float, "waveform sampling rate"),
+    "decoherence.omega01_hz": (_parse_float, "0-1 transition frequency (plain Hz)"),
+    "decoherence.omega12_hz": (_parse_float, "1-2 transition frequency (plain Hz)"),
+    "decoherence.gamma10_hz": (_parse_float, "zero-temperature 1->0 decay rate (1/s)"),
+    "decoherence.gamma21_hz": (_parse_float, "zero-temperature 2->1 decay rate (1/s)"),
+    "decoherence.gphi10_hz": (_parse_float, "0-1 transition dephasing rate (1/s)"),
+    "decoherence.gphi21_hz": (_parse_float, "1-2 transition dephasing rate (1/s)"),
+    "decoherence.gphi02_hz": (_parse_float, "0-2 transition dephasing rate (1/s)"),
+    "decoherence.temperature_k": (_parse_float, "effective temperature (K)"),
+    "pulse.s_duration_ns": (_parse_float, "beam-splitter pulse duration"),
+    "pulse.b_duration_ns": (_parse_float, "probe pulse duration"),
+    "pulse.sampling_rate_hz": (_parse_float, "waveform sampling rate"),
     "pulse.stretch": (_parse_bool, "stretch 56 ns probe pulses above 3.38 pi"),
     "sweep.points": (int, "grid points per strength axis"),
-    "sweep.theta_max_pi": (float, "upper end of the strength grid, units of pi"),
+    "sweep.theta_max_pi": (_parse_float, "upper end of the strength grid, units of pi"),
     "sweep.m": (int, "realisations per protocol size"),
     "sweep.n_min": (int, "smallest protocol size"),
     "sweep.n_max": (int, "largest protocol size"),
     "sweep.random_kind": (str, "uniform | binary strength sampler"),
     "histogram.shots": (int, "number of sampled shots"),
-    "histogram.theta_pi": (float, "probe strength for the histogram, units of pi"),
+    "histogram.theta_pi": (_parse_float, "probe strength for the histogram, units of pi"),
     "rng_seed": (int, "base seed for all sampling"),
     "output_dir": (str, "directory for emitted files"),
     "threads": (int, "worker threads (outputs do not depend on this)"),
@@ -123,7 +130,10 @@ class ExperimentConfig:
                     value = 2.0 * np.pi * value
                 overrides[fieldname] = value
         if overrides:
-            model = replace(model, **overrides)
+            try:
+                model = replace(model, **overrides)
+            except ValueError as exc:
+                raise ConfigError(f"decoherence: {exc}") from None
         return model
 
     def geometry(self, default_b_ns: float) -> PulseGeometry:
@@ -181,13 +191,15 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
 
     _validate_ranges(raw)
-    return ExperimentConfig(
+    config = ExperimentConfig(
         scenario=scenario,
         raw=raw,
         rng_seed=raw.get("rng_seed", 0),
         output_dir=raw.get("output_dir", "out"),
         threads=raw.get("threads", 1),
     )
+    config.decoherence(default_preset="sample1")  # rejects bad overrides even where no model is built
+    return config
 
 
 def _validate_ranges(raw: dict) -> None:
@@ -201,6 +213,9 @@ def _validate_ranges(raw: dict) -> None:
         raise ConfigError("histogram.shots must be >= 1")
     if raw.get("threads", 1) < 1:
         raise ConfigError("threads must be >= 1")
+    for key in ("pulse.s_duration_ns", "pulse.b_duration_ns", "pulse.sampling_rate_hz"):
+        if raw.get(key, 1.0) <= 0:
+            raise ConfigError(f"{key} must be positive")
     n_min = raw.get("sweep.n_min", 1)
     n_max = raw.get("sweep.n_max", 25)
     if not 1 <= n_min <= n_max:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import (
     DecoherenceModel,
+    check_density_batch,
     epsilon_for_theta,
     lindblad_segment_batch,
     operator_distance_2norm,
@@ -154,10 +155,14 @@ def dissipative_sweep(
     """Propagate a batch of protocols through the Lindblad master equation.
 
     thetas has shape (batch, n_segments); every row is one realisation.
-    Probe segments whose strength differs only in amplitude share the RK4
-    grid, so the whole batch advances segment by segment. Returns the
-    final density matrices with shape (batch, 3, 3); with
-    collect_checkpoints=True also a list of per-checkpoint copies
+    The beam-splitter segment is the same for every row and every
+    position, so its 9 x 9 map on vec(rho) is integrated once and applied
+    as one matmul. Probe segments whose strength differs only in
+    amplitude share the RK4 grid, so the whole batch advances segment by
+    segment. After every segment each row is checked to be a density
+    matrix (:func:`check_density_batch`). Returns the final density
+    matrices with shape (batch, 3, 3), real when the initial state is;
+    with collect_checkpoints=True also a list of per-checkpoint copies
     (initial state plus one entry per applied pulse, 2 N + 2 in total).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -169,21 +174,31 @@ def dissipative_sweep(
     dt = 1.0 / geo.sampling_rate
 
     rho0 = initial.matrix if initial is not None else thermal_state(model).matrix
+    if not np.any(rho0.imag):
+        rho0 = rho0.real
     rho = np.broadcast_to(rho0, (batch, 3, 3)).copy()
 
     s_tau, s_tau_c = geo.s_shape()
     s_area = effective_area(s_tau, s_tau_c)
     s_amp = np.pi / ((n_segments + 1) * s_area)
+    # Row k of the map is the image of the k-th basis matrix, so
+    # vec(rho) @ s_map applies the segment to every row.
+    basis = np.eye(9).reshape(9, 3, 3)
+    s_map = lindblad_segment_batch(basis, s_amp, "01", s_tau, s_tau_c, rates, dt).reshape(9, 9)
 
     checkpoints = [rho.copy()] if collect_checkpoints else None
 
-    def run_s():
-        nonlocal rho
-        rho = lindblad_segment_batch(rho, s_amp, "01", s_tau, s_tau_c, rates, dt)
+    def finish_segment(where):
+        check_density_batch(rho, where)
         if collect_checkpoints:
             checkpoints.append(rho.copy())
 
-    run_s()
+    def run_s(j):
+        nonlocal rho
+        rho = (rho.reshape(batch, 9) @ s_map).reshape(batch, 3, 3)
+        finish_segment(f"beam splitter {j + 1} of {n_segments + 1}")
+
+    run_s(0)
     for j in range(n_segments):
         col = thetas[:, j]
         # Group rows by probe-pulse shape; the 56 ns family stretches at
@@ -193,15 +208,12 @@ def dissipative_sweep(
             mask = np.all(shapes == shape, axis=1)
             tau, tau_c = shape
             area = effective_area(tau, tau_c)
-            amps = np.where(mask, col / area, 0.0)
-            rho_masked = lindblad_segment_batch(rho[mask], amps[mask], "12", tau, tau_c, rates, dt)
-            rho[mask] = rho_masked
+            rho[mask] = lindblad_segment_batch(rho[mask], col[mask] / area, "12", tau, tau_c, rates, dt)
         if depolarize:
             eps = np.array([epsilon_for_theta(t) for t in col])[:, None, None]
             rho = (1.0 - eps) * rho + eps * np.eye(3) / 3.0
-        if collect_checkpoints:
-            checkpoints.append(rho.copy())
-        run_s()
+        finish_segment(f"probe {j + 1} of {n_segments}")
+        run_s(j + 1)
 
     if collect_checkpoints:
         return rho, checkpoints

@@ -133,6 +133,36 @@ def _initial_rho(config: ExperimentConfig, model) -> DensityMatrix:
     raise ConfigError(f"protocol.initial must be ground|thermal|level1, got {choice!r}")
 
 
+def _dissipative(
+    config: ExperimentConfig,
+    kind: str,
+    thetas,
+    n: int,
+    preset: str,
+    b_ns: float,
+    collect_checkpoints: bool = False,
+):
+    """dissipative_sweep on the configured model and pulses.
+
+    A value outside the domain of the model or the pulses (a negative
+    temperature, a probe the 56 ns family cannot stretch to) is a
+    configuration error.
+    """
+    try:
+        model = config.decoherence(default_preset=preset)
+        return dissipative_sweep(
+            thetas,
+            n,
+            model,
+            geometry=config.geometry(default_b_ns=b_ns),
+            depolarize=(kind == "lindblad_depol"),
+            initial=_initial_rho(config, model),
+            collect_checkpoints=collect_checkpoints,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _small_n_probabilities(config: ExperimentConfig, thetas: np.ndarray, n: int) -> list[OutcomeProbabilities]:
     """Outcome probabilities for a batch of N=1 or N=2 strength vectors."""
     kind = config.model_kind(default="ideal")
@@ -146,15 +176,7 @@ def _small_n_probabilities(config: ExperimentConfig, thetas: np.ndarray, n: int)
                 v = s @ (b_pulse(th) @ v)
             out.append(OutcomeProbabilities(*(np.abs(v) ** 2)))
         return out
-    model = config.decoherence(default_preset="sample1")
-    rho = dissipative_sweep(
-        thetas,
-        n,
-        model,
-        geometry=config.geometry(default_b_ns=56.0),
-        depolarize=(kind == "lindblad_depol"),
-        initial=_initial_rho(config, model),
-    )
+    rho = _dissipative(config, kind, thetas, n, preset="sample1", b_ns=56.0)
     return [OutcomeProbabilities(*np.real(np.diagonal(r))) for r in rho]
 
 
@@ -216,15 +238,7 @@ def _multi_probabilities(config: ExperimentConfig, n: int, thetas: np.ndarray) -
                 v = s @ (b_pulse(th) @ v)
             out[i] = np.abs(v) ** 2
         return out
-    model = config.decoherence(default_preset="sample2")
-    rho = dissipative_sweep(
-        thetas,
-        n,
-        model,
-        geometry=config.geometry(default_b_ns=112.0),
-        depolarize=(kind == "lindblad_depol"),
-        initial=_initial_rho(config, model),
-    )
+    rho = _dissipative(config, kind, thetas, n, preset="sample2", b_ns=112.0)
     return np.real(np.diagonal(rho, axis1=1, axis2=2))
 
 
@@ -358,14 +372,13 @@ def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
     ideal_init = PureState.basis(0).vector if kind != "ideal" else _initial_vector(config)
     add("ideal", _ideal_checkpoint_states(n, thetas, ideal_init))
     if kind != "ideal":
-        model = config.decoherence(default_preset="sample2" if n > 2 else "sample1")
-        _, checkpoints = dissipative_sweep(
+        _, checkpoints = _dissipative(
+            config,
+            kind,
             np.array([thetas]),
             n,
-            model,
-            geometry=config.geometry(default_b_ns=112.0 if n > 2 else 56.0),
-            depolarize=(kind == "lindblad_depol"),
-            initial=_initial_rho(config, model),
+            preset="sample2" if n > 2 else "sample1",
+            b_ns=112.0 if n > 2 else 56.0,
             collect_checkpoints=True,
         )
         states = []

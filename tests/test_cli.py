@@ -128,6 +128,42 @@ def test_cli_exit_code_on_numeric_failure(tmp_path, monkeypatch):
     assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize(
+    "scenario, text",
+    [
+        ("n1_sweep", "model.kind = lindblad\nsweep.points = 3\n"),
+        ("multi_random", "sweep.n_max = 3\nsweep.m = 4\n"),
+    ],
+)
+def test_cli_exit_code_on_unstable_integration(tmp_path, capsys, scenario, text):
+    # A decay rate of 1e11/s makes RK4 at 1 ns steps diverge.
+    cfg = write(tmp_path, "stiff.cfg", text + "decoherence.gamma10_hz = 1e11\n")
+    out = tmp_path / "stiff"
+    with np.errstate(all="ignore"):
+        assert main([scenario, "--config", cfg, "--out", str(out)]) == 3
+    assert "beam splitter 1 of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "model.kind = lindblad\nsweep.theta_max_pi = 5\n",
+        "sweep.theta_max_pi = nan\n",
+        "decoherence.temperature_k = -1\n",
+        "model.kind = lindblad\ndecoherence.temperature_k = -1\n",
+        "protocol.thetas_pi = 1,inf\n",
+        "pulse.sampling_rate_hz = 0\n",
+    ],
+    ids=["stretch_out_of_range", "nan_theta", "negative_temperature_ideal",
+         "negative_temperature_lindblad", "infinite_theta_list", "zero_sampling_rate"],
+)
+def test_cli_out_of_domain_values_exit_2(tmp_path, capsys, text):
+    cfg = write(tmp_path, "bad.cfg", "sweep.points = 3\n" + text)
+    assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     cfg = write(
         tmp_path,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as k_b
 
+from ifdsim import NumericToleranceError
 from ifdsim.dynamics import (
     SAMPLE_1,
     SAMPLE_2,
     DecoherenceModel,
     DriveHamiltonianSpec,
     apply_depolarizing,
+    check_density_batch,
     depolarizing_kraus,
     drive_generator,
     epsilon_for_theta,
@@ -15,6 +18,7 @@ from ifdsim.dynamics import (
     lindblad_general_rhs,
     lindblad_pairwise_rhs,
     lindblad_segment_batch,
+    liouvillian,
     operator_distance_2norm,
     per_level_dephasing,
     propagate_lindblad,
@@ -22,7 +26,8 @@ from ifdsim.dynamics import (
     thermal_rates,
     thermal_state,
 )
-from ifdsim.pulses import PulseEnvelope, effective_area, sample_waveform
+from ifdsim.protocol import dissipative_sweep
+from ifdsim.pulses import PulseEnvelope, PulseGeometry, effective_area, sample_waveform
 from ifdsim.su3 import DensityMatrix, PureState, b_pulse, beam_splitter, subspace_pauli
 
 TAU, TAU_C = 14e-9, 28e-9
@@ -303,3 +308,104 @@ def test_operator_distance():
 def test_drive_generator_default_phase_is_y_like():
     g = drive_generator("01")
     assert np.max(np.abs(g - 0.5 * subspace_pauli("y", 0, 1))) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Liouville-space core
+# ---------------------------------------------------------------------------
+
+rates_hz = st.floats(min_value=0.0, max_value=5e6, allow_nan=False)
+
+
+def random_hermitian_density(seed, complex_=True):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3)) + (1j * rng.normal(size=(3, 3)) if complex_ else 0.0)
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    gammas=st.tuples(rates_hz, rates_hz, rates_hz, rates_hz, rates_hz),
+    temperature=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.3)),
+    transition=st.sampled_from(["01", "12"]),
+    phase=st.floats(min_value=-np.pi, max_value=np.pi),
+    amplitude=st.floats(min_value=0.0, max_value=5e8),
+)
+@settings(max_examples=80, deadline=None)
+def test_liouvillian_matches_pairwise_and_general_rhs(seed, gammas, temperature, transition, phase, amplitude):
+    model = DecoherenceModel(2 * np.pi * 5e9, 2 * np.pi * 4.6e9, *gammas, temperature)
+    rates = thermal_rates(model)
+    rho = random_hermitian_density(seed)
+    h = amplitude * drive_generator(transition, phase)
+    l_h, l_d = liouvillian(transition, rates, phase)
+    vec = (amplitude * l_h @ rho.ravel() + l_d @ rho.ravel()).reshape(3, 3)
+    pairwise = lindblad_pairwise_rhs(rho, h, rates)
+    general = lindblad_general_rhs(rho, h, model)
+    scale = max(1.0, float(np.max(np.abs(pairwise))))
+    assert np.max(np.abs(vec - pairwise)) <= 1e-12 * scale
+    assert np.max(np.abs(vec - general)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_cached_map_matches_segment(complex_):
+    rates = thermal_rates(SAMPLE_2)
+    area = effective_area(TAU, TAU_C)
+    amp = np.pi / (26 * area)
+    basis = np.eye(9).reshape(9, 3, 3)
+    s_map = lindblad_segment_batch(basis, amp, "01", TAU, TAU_C, rates).reshape(9, 9)
+    batch = np.array([random_hermitian_density(seed, complex_) for seed in range(6)])
+    direct = lindblad_segment_batch(batch, amp, "01", TAU, TAU_C, rates)
+    mapped = (batch.reshape(-1, 9) @ s_map).reshape(-1, 3, 3)
+    assert np.max(np.abs(mapped - direct)) <= 1e-13
+
+
+def test_segment_dtype_follows_data():
+    rates = thermal_rates(SAMPLE_1)
+    amp = np.pi / effective_area(TAU, TAU_C)
+    real_start = thermal_state(SAMPLE_1).matrix[None]  # complex dtype, zero imaginary part
+    assert lindblad_segment_batch(real_start, amp, "12", TAU, TAU_C, rates).dtype == float
+    complex_start = random_hermitian_density(2)[None]
+    assert np.iscomplexobj(lindblad_segment_batch(complex_start, amp, "12", TAU, TAU_C, rates))
+    # a phase other than -pi/2 makes the drive term complex even on a real state
+    out = lindblad_segment_batch(real_start, amp, "12", TAU, TAU_C, rates, phase=0.3)
+    assert np.iscomplexobj(out) and np.max(np.abs(out.imag)) > 1e-5
+
+
+def test_dissipative_sweep_complex_initial_matches_single_rows():
+    rho0 = random_hermitian_density(9)
+    assert np.max(np.abs(rho0 - np.diag(np.diag(rho0)))) > 0.1
+    # two probe shapes: the 56 ns family stretches above 3.38 pi
+    thetas = np.pi * np.array([[0.2, 3.9], [1.0, 0.3], [3.5, 3.95], [0.0, 1.0]])
+    geometry = PulseGeometry(b_duration=56e-9)
+    initial = DensityMatrix(rho0)
+    batch = dissipative_sweep(thetas, 2, SAMPLE_1, geometry=geometry, initial=initial)
+    assert np.iscomplexobj(batch)
+    for row, theta in zip(batch, thetas):
+        single = dissipative_sweep(theta[None], 2, SAMPLE_1, geometry=geometry, initial=initial)[0]
+        assert np.max(np.abs(row - single)) <= 1e-14
+
+
+@pytest.mark.parametrize("rate", [0.7e9, 1e7, 1e5])
+def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
+    rates = thermal_rates(SAMPLE_1)
+    amp = np.pi / effective_area(TAU, TAU_C)
+    rho0 = random_hermitian_density(4)[None]
+    for transition in ("01", "12"):
+        reference = lindblad_segment_batch(rho0, amp, transition, TAU, TAU_C, rates, dt=1e-9)
+        other = lindblad_segment_batch(rho0, amp, transition, TAU, TAU_C, rates, dt=1.0 / rate)
+        assert np.max(np.abs(other - reference)) < 1e-6
+
+
+def test_density_guard_names_row():
+    good = np.array([thermal_state(SAMPLE_1).matrix] * 3)
+    check_density_batch(good, "segment x")
+    for bad_value, message in ((np.nan, "non-finite"), (0.5, "trace drift")):
+        bad = good.copy()
+        bad[2, 1, 1] += bad_value
+        with pytest.raises(NumericToleranceError, match=f"segment x, row 2: {message}"):
+            check_density_batch(bad, "segment x")
+    negative = good.copy()
+    negative[1] = np.diag([1.1, -0.1, 0.0])
+    with pytest.raises(NumericToleranceError, match="row 1: eigenvalue"):
+        check_density_batch(negative, "segment x")
