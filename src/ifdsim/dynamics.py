@@ -37,11 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar as HBAR, k as K_B
 
 from . import NumericToleranceError
 from .pulses import SampledWaveform
 from .su3 import DensityMatrix, Operator3
+
+# Exact SI values since 2019: hbar = h / 2 pi and the Boltzmann constant.
+HBAR = 6.62607015e-34 / (2 * np.pi)
+K_B = 1.380649e-23
 
 # Keep the per-step rotation small enough that classic RK4 stays well
 # below the 1e-6 unitarity/trace guarantees (error ~ (amp*dt/2)^5/120).
@@ -475,18 +478,21 @@ def lindblad_segment_batch(
         a = amps[rows][None, :]
         # One column per row: (9, 9) @ (9, rows) products are the fast layout.
         y = np.array(x[rows].T, dtype=dtype, order="C")
-        for i in range(n_steps):
-            k1 = rhs(y, a * env_node[i])
-            k2 = rhs(y + (0.5 * step) * k1, a * env_mid[i])
-            k3 = rhs(y + (0.5 * step) * k2, a * env_mid[i])
-            k4 = rhs(y + step * k3, a * env_node[i + 1])
-            # y += step / 6 (k1 + 2 (k2 + k3) + k4), in place
-            k2 += k3
-            k2 *= 2.0
-            k1 += k2
-            k1 += k4
-            k1 *= step / 6.0
-            y += k1
+        # An unstable step overflows to inf or nan without a warning;
+        # check_density_batch reports the row after the segment.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n_steps):
+                k1 = rhs(y, a * env_node[i])
+                k2 = rhs(y + (0.5 * step) * k1, a * env_mid[i])
+                k3 = rhs(y + (0.5 * step) * k2, a * env_mid[i])
+                k4 = rhs(y + step * k3, a * env_node[i + 1])
+                # y += step / 6 (k1 + 2 (k2 + k3) + k4), in place
+                k2 += k3
+                k2 *= 2.0
+                k1 += k2
+                k1 += k4
+                k1 *= step / 6.0
+                y += k1
         out[rows] = y.T
     return out.reshape(lead + (3, 3))
 

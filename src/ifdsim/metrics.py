@@ -40,9 +40,12 @@ class ShotCounts:
 
 
 def pr_nr(p: OutcomeProbabilities) -> tuple[float, float]:
-    """(PR, NR) = (p0, p1) / (p0 + p1); raises if no run survives absorption."""
+    """(PR, NR) = (p0, p1) / (p0 + p1); raises if no run survives absorption.
+
+    Elementwise when p holds columns; raises if any row's p0 + p1 is <= 0.
+    """
     denom = p.p0 + p.p1
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise UndefinedRatioError("p0 + p1 = 0: positive/negative ratios undefined")
     return p.p0 / denom, p.p1 / denom
 
@@ -54,10 +57,10 @@ def confusion_matrix(at_pi: OutcomeProbabilities, at_zero: OutcomeProbabilities)
     return ConfusionMatrix(tpr=tpr, fnr=fnr, fpr=fpr, tnr=tnr)
 
 
-def efficiency(p_success: float, p_absorb: float) -> float:
-    """Success fraction among conclusive outcomes."""
+def efficiency(p_success, p_absorb):
+    """Success fraction among conclusive outcomes, for floats or arrays."""
     denom = p_success + p_absorb
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise UndefinedRatioError("p_success + p_absorb = 0: efficiency undefined")
     return p_success / denom
 

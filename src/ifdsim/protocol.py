@@ -34,7 +34,7 @@ MODELS = ("ideal", "lindblad", "lindblad_depol")
 
 @dataclass(frozen=True)
 class OutcomeProbabilities:
-    """Final detector probabilities (p0, p1, p2)."""
+    """Final detector probabilities (p0, p1, p2): floats, or one column per batch."""
 
     p0: float
     p1: float
@@ -42,9 +42,10 @@ class OutcomeProbabilities:
 
     def __post_init__(self):
         for name in ("p0", "p1", "p2"):
-            v = getattr(self, name)
-            if not -1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"{name}={v} is not a probability")
+            v = np.asarray(getattr(self, name))
+            bad = ~((v >= -1e-9) & (v <= 1.0 + 1e-9))
+            if np.any(bad):
+                raise ValueError(f"{name}={v[bad].flat[0]} is not a probability")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p0, self.p1, self.p2])
@@ -101,28 +102,58 @@ class ProtocolSpec:
         return self.initial
 
 
+def ideal_amplitudes(n_segments: int, thetas, initial=(1.0, 0.0, 0.0), checkpoints: bool = False) -> np.ndarray:
+    """Real amplitudes of S_N B(theta_N) S_N ... B(theta_1) S_N |initial> for a batch.
+
+    thetas has shape (batch, n_segments), one protocol per row. initial is
+    a real state vector, or one per row, and defaults to |0>. S_N and
+    B(theta) are real rotations, so each pulse is two elementwise updates
+    of (batch,) columns, in the operation order of the 3 x 3 products.
+    Returns shape (batch, 3); with checkpoints=True, shape
+    (batch, 2 N + 2, 3): the initial state and the state after every
+    applied pulse.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != n_segments:
+        raise ValueError(f"thetas must have shape (batch, {n_segments}), got {thetas.shape}")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError(f"theta must be finite, got {thetas[~np.isfinite(thetas)][0]}")
+    s_matrix = beam_splitter(n_segments)
+    c, s = s_matrix[0, 0].real, s_matrix[1, 0].real
+    ct, st = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    if np.any(np.imag(initial)):
+        raise ValueError("the initial state of the ideal recursion must be real")
+    a, b, g = np.broadcast_to(np.real(initial), (len(thetas), 3)).T
+
+    states = []
+
+    def keep():
+        if checkpoints:
+            states.append(np.stack([a, b, g], axis=-1))
+
+    keep()
+    a, b = c * a - s * b, s * a + c * b
+    keep()
+    for j in range(n_segments):
+        b, g = ct[:, j] * b - st[:, j] * g, st[:, j] * b + ct[:, j] * g
+        keep()
+        a, b = c * a - s * b, s * a + c * b
+        keep()
+    if checkpoints:
+        return np.stack(states, axis=1)
+    return np.stack([a, b, g], axis=-1)
+
+
 def coherent_sequence_unitary(n_segments: int, thetas) -> Operator3:
-    """U_N = S_N B(theta_N) S_N ... B(theta_1) S_N, evaluated right to left."""
-    thetas = tuple(thetas)
-    if len(thetas) != n_segments:
-        raise ValueError(f"expected {n_segments} pulse strengths, got {len(thetas)}")
-    s = beam_splitter(n_segments)
-    u = s.copy()
-    for theta in thetas:
-        u = s @ (b_pulse(theta) @ u)
-    return u
+    """U_N = S_N B(theta_N) S_N ... B(theta_1) S_N, column by column."""
+    columns = ideal_amplitudes(n_segments, np.tile(thetas, (3, 1)), np.eye(3))
+    return columns.T.astype(complex)
 
 
-def ideal_states(n_segments: int, thetas, initial: PureState | None = None) -> list[PureState]:
+def ideal_states(n_segments: int, thetas, initial: PureState = PureState.basis(0)) -> list[PureState]:
     """State after the first beam splitter and after each segment (N + 1 states)."""
-    thetas = tuple(thetas)
-    s = beam_splitter(n_segments)
-    v = s @ (initial.vector if initial is not None else PureState.basis(0).vector)
-    states = [PureState(v)]
-    for theta in thetas:
-        v = s @ (b_pulse(theta) @ v)
-        states.append(PureState(v))
-    return states
+    states = ideal_amplitudes(n_segments, [thetas], initial.vector, checkpoints=True)[0, 1::2]
+    return [PureState(v) for v in states]
 
 
 def run_coherent_ideal(spec: ProtocolSpec) -> OutcomeProbabilities:
@@ -236,12 +267,6 @@ def run_coherent_dissipative(spec: ProtocolSpec) -> OutcomeProbabilities:
     return OutcomeProbabilities(*p)
 
 
-def run_protocol(spec: ProtocolSpec) -> OutcomeProbabilities:
-    if spec.model == "ideal":
-        return run_coherent_ideal(spec)
-    return run_coherent_dissipative(spec)
-
-
 def dissipative_checkpoints(spec: ProtocolSpec) -> list[DensityMatrix]:
     """Density matrix before the sequence and after every applied pulse."""
     if spec.model == "ideal":
@@ -274,22 +299,8 @@ def amplitude_recursion(n_segments: int, thetas) -> list[tuple[float, float, flo
     B(theta_{j+1}) followed by S_N. Squares of the final triple are the
     detector probabilities.
     """
-    thetas = tuple(thetas)
-    if len(thetas) != n_segments:
-        raise ValueError(f"expected {n_segments} pulse strengths, got {len(thetas)}")
-    phi = np.pi / (2.0 * (n_segments + 1))
-    c, s = np.cos(phi), np.sin(phi)
-    alpha, beta, gamma = c, s, 0.0
-    out = [(alpha, beta, gamma)]
-    for theta in thetas:
-        ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        alpha, beta, gamma = (
-            c * alpha - s * ct * beta + s * st * gamma,
-            s * alpha + c * ct * beta - c * st * gamma,
-            st * beta + ct * gamma,
-        )
-        out.append((alpha, beta, gamma))
-    return out
+    states = ideal_amplitudes(n_segments, [thetas], checkpoints=True)[0, 1::2]
+    return [tuple(v) for v in states.tolist()]
 
 
 def _shift_cos_mul_cos(coeffs: np.ndarray) -> np.ndarray:

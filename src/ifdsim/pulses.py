@@ -35,7 +35,6 @@ class PulseEnvelope:
     tau_c: float  # truncation half-width, s
     phase: float = -np.pi / 2
     transition: str = "01"
-    detuning: float = 0.0
 
     def __post_init__(self):
         if self.tau <= 0 or self.tau_c <= 0:

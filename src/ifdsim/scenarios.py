@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,14 +27,16 @@ from .protocol import (
     amplitude_recursion,
     dissipative_sweep,
     expansion_coefficients,
+    ideal_amplitudes,
     projective_closed_form,
     run_coherent_ideal,
     run_projective,
 )
 from .quantized import FieldCoupling, run_single_mode
-from .su3 import DensityMatrix, PureState, b_pulse, beam_splitter
 
-_FLOAT_FORMAT = "{:.12g}"
+# b_pulse and beam_splitter are not called here; they stay module attributes
+# because the traced benchmark run (perfbench/invoke.py) wraps them by name.
+from .su3 import DensityMatrix, PureState, b_pulse, beam_splitter  # noqa: F401
 
 
 @dataclass
@@ -46,19 +49,19 @@ class SweepResult:
     rng_seed: int = 0
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return _FLOAT_FORMAT.format(float(value))
+@lru_cache(maxsize=64)
+def _row_format(types: tuple[type, ...]) -> str:
+    """One %-format for a row of these value types: %d, %s or %.12g per value."""
+    return ",".join(
+        "%d" if issubclass(t, (int, np.integer)) else "%s" if issubclass(t, str) else "%.12g" for t in types
+    )
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
     """Write rows with '.' decimals and >= 9 significant digits, locale-free."""
     lines = [",".join(result.headers)]
     for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(_row_format(tuple(map(type, row))) % tuple(row))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -105,11 +108,6 @@ def run_scenario(config: ExperimentConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 # Strength sweeps for N = 1 and N = 2
 # ---------------------------------------------------------------------------
-
-def _ratio_columns(p: OutcomeProbabilities) -> tuple[float, float, float]:
-    pr, nr = pr_nr(p)
-    return pr, nr, efficiency(p.p0, p.p2)
-
 
 def _initial_vector(config: ExperimentConfig) -> np.ndarray:
     choice = config.get("protocol.initial", "ground")
@@ -163,36 +161,41 @@ def _dissipative(
         raise ConfigError(str(exc)) from None
 
 
-def _small_n_probabilities(config: ExperimentConfig, thetas: np.ndarray, n: int) -> list[OutcomeProbabilities]:
-    """Outcome probabilities for a batch of N=1 or N=2 strength vectors."""
-    kind = config.model_kind(default="ideal")
+# Model defaults of the two scenario families: the N <= 2 strength maps
+# (ideal, sample 1, 56 ns probes) and the multi-segment sweeps
+# (depolarizing Lindblad, sample 2, 112 ns probes).
+_SMALL_N = dict(default_kind="ideal", preset="sample1", b_ns=56.0)
+_MULTI = dict(default_kind="lindblad_depol", preset="sample2", b_ns=112.0)
+
+
+def _probabilities(
+    config: ExperimentConfig, thetas: np.ndarray, n: int, default_kind: str, preset: str, b_ns: float
+) -> np.ndarray:
+    """(p0, p1, p2) for a batch of strength vectors, shape (batch, 3)."""
+    kind = config.model_kind(default=default_kind)
     if kind == "ideal":
-        out = []
-        s = beam_splitter(n)
-        init = _initial_vector(config)
-        for row in thetas:
-            v = s @ init
-            for th in row:
-                v = s @ (b_pulse(th) @ v)
-            out.append(OutcomeProbabilities(*(np.abs(v) ** 2)))
-        return out
-    rho = _dissipative(config, kind, thetas, n, preset="sample1", b_ns=56.0)
-    return [OutcomeProbabilities(*np.real(np.diagonal(r))) for r in rho]
+        return ideal_amplitudes(n, thetas, _initial_vector(config)) ** 2
+    rho = _dissipative(config, kind, thetas, n, preset=preset, b_ns=b_ns)
+    return np.real(np.diagonal(rho, axis1=1, axis2=2))
+
+
+def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> list[tuple]:
+    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c), built from columns."""
+    probs = OutcomeProbabilities(*p.T)
+    pr, nr = pr_nr(probs)
+    eta = efficiency(probs.p0, probs.p2)
+    return list(zip(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, eta))
 
 
 def _run_n1_sweep(config: ExperimentConfig) -> SweepResult:
     points = config.get("sweep.points", 181)
     theta_max = config.get("sweep.theta_max_pi", 4.0) * np.pi
-    grid = np.linspace(0.0, theta_max, points)
-    probs = _small_n_probabilities(config, grid[:, None], 1)
-    rows = []
-    for theta, p in zip(grid, probs):
-        pr, nr, eta = _ratio_columns(p)
-        rows.append((theta, p.p0, p.p1, p.p2, pr, nr, eta))
+    thetas = np.linspace(0.0, theta_max, points)[:, None]
+    p = _probabilities(config, thetas, 1, **_SMALL_N)
     return SweepResult(
         scenario="n1_sweep",
         headers=("theta_rad", "p0", "p1", "p2", "pr", "nr", "eta_c"),
-        rows=rows,
+        rows=_ratio_rows(thetas, p),
         aggregates={"grid_points": points, "theta_max_rad": theta_max},
     )
 
@@ -201,16 +204,13 @@ def _run_n2_map(config: ExperimentConfig) -> SweepResult:
     points = config.get("sweep.points", 161)
     theta_max = config.get("sweep.theta_max_pi", 4.0) * np.pi
     grid = np.linspace(0.0, theta_max, points)
-    pairs = np.array([(t1, t2) for t1 in grid for t2 in grid])
-    probs = _small_n_probabilities(config, pairs, 2)
-    rows = []
-    for (t1, t2), p in zip(pairs, probs):
-        pr, nr, eta = _ratio_columns(p)
-        rows.append((t1, t2, p.p0, p.p1, p.p2, pr, nr, eta))
+    t1, t2 = np.meshgrid(grid, grid, indexing="ij")
+    thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
+    p = _probabilities(config, thetas, 2, **_SMALL_N)
     return SweepResult(
         scenario="n2_map",
         headers=("theta1_rad", "theta2_rad", "p0", "p1", "p2", "pr", "nr", "eta_c"),
-        rows=rows,
+        rows=_ratio_rows(thetas, p),
         aggregates={"grid_points": points * points},
     )
 
@@ -226,22 +226,6 @@ def _thread_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _multi_probabilities(config: ExperimentConfig, n: int, thetas: np.ndarray) -> np.ndarray:
-    kind = config.model_kind(default="lindblad_depol")
-    if kind == "ideal":
-        out = np.empty((thetas.shape[0], 3))
-        s = beam_splitter(n)
-        init = _initial_vector(config)
-        for i, row in enumerate(thetas):
-            v = s @ init
-            for th in row:
-                v = s @ (b_pulse(th) @ v)
-            out[i] = np.abs(v) ** 2
-        return out
-    rho = _dissipative(config, kind, thetas, n, preset="sample2", b_ns=112.0)
-    return np.real(np.diagonal(rho, axis1=1, axis2=2))
-
-
 def _run_multi_identical(config: ExperimentConfig) -> SweepResult:
     n_min = config.get("sweep.n_min", 1)
     n_max = config.get("sweep.n_max", 25)
@@ -250,7 +234,7 @@ def _run_multi_identical(config: ExperimentConfig) -> SweepResult:
 
     def one_n(n: int):
         thetas = np.repeat(theta_grid[:, None], n, axis=1)
-        return n, _multi_probabilities(config, n, thetas)
+        return n, _probabilities(config, thetas, n, **_MULTI)
 
     results = _thread_map(one_n, range(n_min, n_max + 1), config.threads)
     rows = []
@@ -291,7 +275,7 @@ def _run_multi_random(config: ExperimentConfig) -> SweepResult:
 
     def one_n(n: int):
         thetas = _random_thetas(config, n, m_count)
-        return n, _multi_probabilities(config, n, thetas)
+        return n, _probabilities(config, thetas, n, **_MULTI)
 
     results = _thread_map(one_n, range(n_min, n_max + 1), config.threads)
     rows = []
@@ -322,10 +306,8 @@ def _run_histogram(config: ExperimentConfig) -> SweepResult:
     theta = config.get("histogram.theta_pi", 1.0) * np.pi
     shots = config.get("histogram.shots", 1_000_000)
     thetas = config.thetas(n) or (theta,) * n
-    probs = _small_n_probabilities(config, np.array([thetas]), n)[0] if n <= 2 else None
-    if probs is None:
-        p = _multi_probabilities(config, n, np.array([thetas]))[0]
-        probs = OutcomeProbabilities(*p)
+    p = _probabilities(config, np.array([thetas]), n, **(_SMALL_N if n <= 2 else _MULTI))[0]
+    probs = OutcomeProbabilities(*p)
     counts = sample_shots(probs, shots, point_seed(config.rng_seed, n, 0))
     rows = [
         ("d0", counts.d0, counts.d0 / counts.total),
@@ -344,21 +326,6 @@ def _run_histogram(config: ExperimentConfig) -> SweepResult:
     )
 
 
-def _ideal_checkpoint_states(n: int, thetas, init: np.ndarray) -> list[PureState]:
-    """Initial state plus the state after every applied pulse (2N + 2)."""
-    s = beam_splitter(n)
-    v = init
-    states = [PureState(v)]
-    v = s @ v
-    states.append(PureState(v))
-    for th in thetas:
-        v = b_pulse(th) @ v
-        states.append(PureState(v))
-        v = s @ v
-        states.append(PureState(v))
-    return states
-
-
 def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
     n = config.get("protocol.n", 25)
     thetas = config.thetas(n) or (np.pi,) * n
@@ -370,15 +337,17 @@ def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
             rows.append((step, mode, *stars.s1, *stars.s2))
 
     ideal_init = PureState.basis(0).vector if kind != "ideal" else _initial_vector(config)
-    add("ideal", _ideal_checkpoint_states(n, thetas, ideal_init))
+    ideal = ideal_amplitudes(n, [thetas], ideal_init, checkpoints=True)[0]
+    add("ideal", [PureState(v) for v in ideal])
     if kind != "ideal":
+        defaults = _SMALL_N if n <= 2 else _MULTI
         _, checkpoints = _dissipative(
             config,
             kind,
             np.array([thetas]),
             n,
-            preset="sample2" if n > 2 else "sample1",
-            b_ns=112.0 if n > 2 else 56.0,
+            preset=defaults["preset"],
+            b_ns=defaults["b_ns"],
             collect_checkpoints=True,
         )
         states = []

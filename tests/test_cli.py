@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ifdsim
 from ifdsim import ConfigError, NumericToleranceError
 from ifdsim.cli import main
 from ifdsim.config import parse_config_text, point_seed
@@ -139,10 +143,42 @@ def test_cli_exit_code_on_unstable_integration(tmp_path, capsys, scenario, text)
     # A decay rate of 1e11/s makes RK4 at 1 ns steps diverge.
     cfg = write(tmp_path, "stiff.cfg", text + "decoherence.gamma10_hz = 1e11\n")
     out = tmp_path / "stiff"
-    with np.errstate(all="ignore"):
-        assert main([scenario, "--config", cfg, "--out", str(out)]) == 3
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 3
     assert "beam splitter 1 of" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_cli_process(*args):
+    """`python -m ifdsim.cli` in a fresh interpreter on this checkout, warnings shown."""
+    src = os.path.dirname(os.path.dirname(ifdsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-W", "default", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario, text",
+    [
+        ("n1_sweep", "model.kind = lindblad\nsweep.points = 3\n"),
+        ("multi_random", "sweep.n_max = 3\nsweep.m = 4\n"),
+    ],
+)
+def test_cli_numeric_failure_prints_one_line(tmp_path, scenario, text):
+    cfg = write(tmp_path, "stiff.cfg", text + "decoherence.gamma10_hz = 1e11\n")
+    proc = run_cli_process("-m", "ifdsim.cli", scenario, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numeric tolerance failure:")
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, ifdsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_cli_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -342,6 +378,30 @@ def test_emit_csv_empty_result(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv(SweepResult(scenario="n1_sweep", headers=("a", "b"), rows=[]), str(path))
     assert path.read_text() == "a,b\n"
+
+
+def test_emit_csv_matches_the_per_value_rule(tmp_path):
+    from ifdsim.scenarios import SweepResult, emit_csv
+
+    def per_value(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, str):
+            return v
+        return "{:.12g}".format(float(v))
+
+    rows = [
+        (1, np.int64(-7), "d0", 0.1, np.float64(2.0 / 3.0)),
+        (True, np.int32(3), "uniform", -0.0, 1e-300),
+        (0, np.int64(0), "", 1e21, np.float64(-1e21)),
+        (2**70, np.uint8(255), "x", float("nan"), np.float64(np.inf)),
+        (5, np.int64(5), "d2", np.float32(0.1), 123456789012.5),
+        (1.5, 2, 3, 4.0, "s"),
+    ]
+    path = tmp_path / "mixed.csv"
+    emit_csv(SweepResult(scenario="histogram", headers=("a", "b", "c", "d", "e"), rows=rows), str(path))
+    expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, row)) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_multi_identical_ideal_endpoint(tmp_path):

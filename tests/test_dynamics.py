@@ -5,6 +5,8 @@ from scipy.constants import hbar, k as k_b
 
 from ifdsim import NumericToleranceError
 from ifdsim.dynamics import (
+    HBAR,
+    K_B,
     SAMPLE_1,
     SAMPLE_2,
     DecoherenceModel,
@@ -64,6 +66,11 @@ def test_thermal_rates_zero_temperature():
     assert r.up01 == 0.0 and r.up12 == 0.0
     assert r.down10 == pytest.approx(0.7e6)
     assert r.gamma_od_01 == pytest.approx(0.7e6 / 2 + 0.4e6)
+
+
+def test_si_constants_equal_scipy_bit_for_bit():
+    assert HBAR == hbar
+    assert K_B == k_b
 
 
 def test_detailed_balance_ratio():

@@ -56,6 +56,28 @@ def test_pr_nr_zero_denominator():
         pr_nr(outcome(0.0, 0.0, 1.0))
 
 
+def test_array_ratios_equal_scalar_ratios_row_by_row():
+    rng = np.random.default_rng(4)
+    p = rng.dirichlet([1.0, 1.0, 1.0], size=50)
+    p[0] = [1.0, 0.0, 0.0]
+    p[1] = [1e-300, 0.0, 1.0]
+    pr, nr = pr_nr(OutcomeProbabilities(*p.T))
+    eta = efficiency(p[:, 0], p[:, 2])
+    for i, row in enumerate(p):
+        assert (pr[i], nr[i]) == pr_nr(outcome(*row))
+        assert eta[i] == efficiency(float(row[0]), float(row[2]))
+
+
+def test_array_ratios_raise_when_any_denominator_is_zero():
+    p = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(UndefinedRatioError):
+        pr_nr(OutcomeProbabilities(*p.T))
+    with pytest.raises(UndefinedRatioError):
+        efficiency(np.array([0.2, 0.0]), np.array([0.3, 0.0]))
+    with pytest.raises(UndefinedRatioError):
+        efficiency(0.0, 0.0)
+
+
 def test_confusion_matrix_ideal_single_segment():
     cm = confusion_matrix(
         run_coherent_ideal(ProtocolSpec(1, [np.pi])),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifdsim.dynamics import SAMPLE_1, DecoherenceModel, thermal_state
 from ifdsim.protocol import (
@@ -10,6 +11,8 @@ from ifdsim.protocol import (
     dissipative_checkpoints,
     dissipative_sweep,
     expansion_coefficients,
+    ideal_amplitudes,
+    ideal_states,
     large_n_residual,
     projective_closed_form,
     reconstruct_amplitudes,
@@ -121,6 +124,73 @@ def test_probabilities_sum_to_one():
 def test_outcome_validation():
     with pytest.raises(ValueError):
         OutcomeProbabilities(1.2, -0.1, -0.1)
+
+
+def test_outcome_validation_over_a_batch():
+    ok = OutcomeProbabilities(np.array([0.5, 1.0]), np.array([0.5, 0.0]), np.array([0.0, -1e-10]))
+    assert ok.total == pytest.approx([1.0, 1.0])
+    with pytest.raises(ValueError, match=r"p2=-0\.2 is not a probability"):
+        OutcomeProbabilities(np.array([0.5, 0.6]), np.array([0.5, 0.6]), np.array([0.0, -0.2]))
+    with pytest.raises(ValueError, match="p0=nan"):
+        OutcomeProbabilities(np.array([np.nan]), np.array([0.0]), np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Batched real recursion against per-row complex products
+# ---------------------------------------------------------------------------
+
+def complex_checkpoints(n, thetas, init):
+    """Initial state and the state after every applied pulse, one 3 x 3 product at a time."""
+    s = beam_splitter(n)
+    v = np.asarray(init, dtype=complex)
+    states = [v, s @ v]
+    for theta in thetas:
+        states.append(b_pulse(theta) @ states[-1])
+        states.append(s @ states[-1])
+    return np.array(states)
+
+
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0, 1]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_ideal_amplitudes_match_complex_products(n, batch, level, data):
+    theta = st.floats(min_value=0.0, max_value=4 * np.pi)
+    thetas = np.array(data.draw(st.lists(st.lists(theta, min_size=n, max_size=n), min_size=batch, max_size=batch)))
+    init = np.eye(3)[level]
+    final = ideal_amplitudes(n, thetas, init)
+    every = ideal_amplitudes(n, thetas, init, checkpoints=True)
+    assert final.shape == (batch, 3) and every.shape == (batch, 2 * n + 2, 3)
+    assert np.array_equal(every[:, -1], final)
+    for row, states in zip(thetas, every):
+        reference = complex_checkpoints(n, row, init)
+        assert np.max(np.abs(states - reference)) <= 1e-14
+
+
+def test_ideal_amplitudes_default_start_and_wrappers():
+    thetas = np.array([[0.3, 2.0, np.pi]])
+    assert np.array_equal(ideal_amplitudes(3, thetas), ideal_amplitudes(3, thetas, PureState.basis(0).vector))
+    every = ideal_amplitudes(3, thetas, checkpoints=True)[0]
+    assert np.array_equal(every[0], [1.0, 0.0, 0.0])
+    assert [s.vector.real.tolist() for s in ideal_states(3, thetas[0])] == every[1::2].tolist()
+    assert amplitude_recursion(3, thetas[0]) == [tuple(v) for v in every[1::2].tolist()]
+    u = coherent_sequence_unitary(3, thetas[0])
+    assert np.array_equal(u[:, 0].real, every[-1])
+    assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-14
+
+
+def test_ideal_amplitudes_rejects_bad_input():
+    with pytest.raises(ValueError, match="theta must be finite"):
+        ideal_amplitudes(2, [[0.1, np.nan]])
+    with pytest.raises(ValueError, match="shape"):
+        ideal_amplitudes(2, [[0.1, 0.2, 0.3]])
+    with pytest.raises(ValueError, match="must be real"):
+        ideal_amplitudes(1, [[0.1]], np.array([1j, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        ideal_amplitudes(0, np.empty((1, 0)))
 
 
 # ---------------------------------------------------------------------------
