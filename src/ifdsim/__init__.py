@@ -6,8 +6,9 @@ The package is organised around the stages of the detection protocol:
   pulses, subspace rotations) and the state containers.
 - :mod:`ifdsim.pulses` - super-Gaussian drive envelopes and amplitude
   calibration.
-- :mod:`ifdsim.dynamics` - time-dependent Hamiltonians, Schroedinger and
-  Lindblad propagation, thermal states and the depolarizing channel.
+- :mod:`ifdsim.dynamics` - drive generators, decoherence rates, thermal
+  states, the depolarizing channel, and one RK4 core behind all
+  Schroedinger and Lindblad propagation.
 - :mod:`ifdsim.protocol` - the coherent detection protocol, the projective
   quantum-Zeno baseline, amplitude recursions and coefficient expansions.
 - :mod:`ifdsim.quantized` - fully quantum treatment of the probe field
@@ -15,7 +16,8 @@ The package is organised around the stages of the detection protocol:
 - :mod:`ifdsim.majorana` - stellar representation of qutrit states.
 - :mod:`ifdsim.metrics` - figures of merit and shot statistics.
 - :mod:`ifdsim.scenarios` / :mod:`ifdsim.cli` - reproducible experiment
-  runner with CSV/JSON emission.
+  runner with CSV/JSON emission; ``scenarios.SCENARIOS`` is the one list
+  of scenarios.
 """
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ import sys
 from dataclasses import replace
 
 from . import ConfigError, NumericToleranceError
-from .config import SCENARIOS, load_config
-from .scenarios import CSV_NAMES, emit_csv, emit_summary_json, run_scenario
+from .config import load_config
+from .scenarios import CSV_NAMES, SCENARIOS, emit_csv, emit_summary_json, run_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ifd-sim",
         description="Interaction-free detection simulator: scenario runner.",
     )
-    parser.add_argument("scenario", choices=SCENARIOS, help="scenario to run")
+    parser.add_argument("scenario", choices=tuple(SCENARIOS), help="scenario to run")
     parser.add_argument("--config", required=True, help="key=value configuration file")
     parser.add_argument("--seed", type=int, default=None, help="override rng_seed")
     parser.add_argument("--out", default=None, help="override output directory")

@@ -15,19 +15,15 @@ import numpy as np
 
 from . import ConfigError
 from .dynamics import DecoherenceModel, PRESETS
+from .protocol import MODELS
 from .pulses import PulseGeometry
 
-SCENARIOS = (
-    "n1_sweep",
-    "n2_map",
-    "multi_identical",
-    "multi_random",
-    "histogram",
-    "majorana_trajectory",
-    "projective_compare",
-    "coefficients",
-    "quantized_check",
-)
+# Keys whose value is one of a fixed set of names.
+_CHOICES = {
+    "model.kind": MODELS,
+    "protocol.initial": ("ground", "thermal", "level1"),
+    "sweep.random_kind": ("uniform", "binary"),
+}
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
@@ -111,12 +107,6 @@ class ExperimentConfig:
     def get(self, key: str, default=None):
         return self.raw.get(key, default)
 
-    def model_kind(self, default: str) -> str:
-        kind = self.raw.get("model.kind", default)
-        if kind not in ("ideal", "lindblad", "lindblad_depol"):
-            raise ConfigError(f"model.kind must be ideal|lindblad|lindblad_depol, got {kind!r}")
-        return kind
-
     def decoherence(self, default_preset: str) -> DecoherenceModel:
         preset = self.raw.get("decoherence.preset", default_preset)
         if preset not in PRESETS:
@@ -187,8 +177,10 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
         )
     if scenario is None:
         raise ConfigError("no scenario given (CLI argument or 'scenario' key)")
+    from .scenarios import SCENARIOS  # scenarios imports this module
+
     if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {tuple(SCENARIOS)}")
 
     _validate_ranges(raw)
     config = ExperimentConfig(
@@ -203,16 +195,9 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
 
 
 def _validate_ranges(raw: dict) -> None:
-    if raw.get("sweep.m", 1) < 1:
-        raise ConfigError("sweep.m must be >= 1")
-    if raw.get("sweep.points", 2) < 2:
-        raise ConfigError("sweep.points must be >= 2")
-    if raw.get("protocol.n", 1) < 1:
-        raise ConfigError("protocol.n must be >= 1")
-    if raw.get("histogram.shots", 1) < 1:
-        raise ConfigError("histogram.shots must be >= 1")
-    if raw.get("threads", 1) < 1:
-        raise ConfigError("threads must be >= 1")
+    for key, least in (("sweep.m", 1), ("sweep.points", 2), ("protocol.n", 1), ("histogram.shots", 1), ("threads", 1)):
+        if raw.get(key, least) < least:
+            raise ConfigError(f"{key} must be >= {least}")
     for key in ("pulse.s_duration_ns", "pulse.b_duration_ns", "pulse.sampling_rate_hz"):
         if raw.get(key, 1.0) <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -220,9 +205,9 @@ def _validate_ranges(raw: dict) -> None:
     n_max = raw.get("sweep.n_max", 25)
     if not 1 <= n_min <= n_max:
         raise ConfigError("need 1 <= sweep.n_min <= sweep.n_max")
-    kind = raw.get("sweep.random_kind", "uniform")
-    if kind not in ("uniform", "binary"):
-        raise ConfigError(f"sweep.random_kind must be uniform|binary, got {kind!r}")
+    for key, allowed in _CHOICES.items():
+        if key in raw and raw[key] not in allowed:
+            raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {raw[key]!r}")
 
 
 def load_config(path: str, scenario: str | None = None) -> ExperimentConfig:

@@ -1,4 +1,4 @@
-"""Time-dependent Hamiltonians, unitary and dissipative propagation.
+"""Drive generators, decoherence rates, and one RK4 core for all propagation.
 
 Internally hbar = 1: Hamiltonians are expressed in rad/s and times in
 seconds. Temperature enters only once, when converting transition
@@ -30,6 +30,11 @@ through the same code in complex arithmetic. Every beam splitter of a
 protocol is the same linear map, so
 :func:`ifdsim.protocol.dissipative_sweep` integrates it once per sweep as
 a 9 x 9 matrix and applies it with one matmul.
+
+The same RK4 loop also runs the sampled-waveform propagators:
+:func:`propagate_lindblad` on the same superoperators, and
+:func:`propagate_schrodinger` on state vectors with generator -i G and
+no dissipator.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericToleranceError
-from .pulses import SampledWaveform
+from .pulses import SampledWaveform, grid_steps
 from .su3 import DensityMatrix, Operator3
 
 # Exact SI values since 2019: hbar = h / 2 pi and the Boltzmann constant.
@@ -54,8 +59,6 @@ _S01 = np.zeros((3, 3), dtype=complex)
 _S01[0, 1] = 1.0
 _S12 = np.zeros((3, 3), dtype=complex)
 _S12[1, 2] = 1.0
-_N1 = np.diag([0.0, 1.0, 0.0]).astype(complex)
-_N2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +194,9 @@ def lindblad_pairwise_rhs(rho: np.ndarray, h: np.ndarray, rates: ThermalRates) -
 
     Works on a single 3x3 matrix or on a (..., 3, 3) batch.
     """
+    rho = np.asarray(rho, dtype=complex)
+    h = np.asarray(h, dtype=complex)
     damping, popflow = _dissipator_arrays(rates)
-    return _pairwise_rhs(np.asarray(rho, dtype=complex), np.asarray(h, dtype=complex), damping, popflow)
-
-
-def _pairwise_rhs(rho, h, damping, popflow):
     out = -1j * (h @ rho - rho @ h)
     out -= damping * rho
     pops = np.einsum("kl,...ll->...k", popflow.astype(complex), rho)
@@ -268,44 +269,30 @@ def lindblad_general_rhs(rho: np.ndarray, h: np.ndarray, model: DecoherenceModel
 
 
 # ---------------------------------------------------------------------------
-# Drive Hamiltonian
+# Drive and propagation: one RK4 core
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DriveHamiltonianSpec:
-    """Drives on the 0-1 and 1-2 transitions over a common time span."""
+    """One sampled drive, on the 0-1 (wave01) or the 1-2 (wave12) transition.
+
+    The drive phase is the waveform's.
+    """
 
     wave01: SampledWaveform | None = None
     wave12: SampledWaveform | None = None
-    phi01: float = -np.pi / 2
-    phi12: float = -np.pi / 2
-    delta01: float = 0.0
-    delta12: float = 0.0
 
     def __post_init__(self):
-        if self.wave01 is not None and self.wave12 is not None:
-            if abs(self.wave01.dt - self.wave12.dt) > 1e-18:
-                raise ValueError("waveforms must share the sampling step")
+        if (self.wave01 is None) == (self.wave12 is None):
+            raise ValueError("a drive spec holds exactly one of wave01 and wave12")
 
-    def span(self) -> tuple[float, float]:
-        starts, ends = [], []
-        for w in (self.wave01, self.wave12):
-            if w is not None:
-                starts.append(w.t_start)
-                ends.append(w.t_end)
-        if not starts:
-            return 0.0, 0.0
-        return min(starts), max(ends)
+    @property
+    def transition(self) -> str:
+        return "01" if self.wave01 is not None else "12"
 
-    def dt(self) -> float:
-        for w in (self.wave01, self.wave12):
-            if w is not None:
-                return w.dt
-        return 1e-9
-
-    def peak(self) -> float:
-        peaks = [np.max(np.abs(w.samples)) for w in (self.wave01, self.wave12) if w is not None]
-        return max(peaks) if peaks else 0.0
+    @property
+    def wave(self) -> SampledWaveform:
+        return self.wave01 if self.wave01 is not None else self.wave12
 
 
 def drive_generator(transition: str, phase: float = -np.pi / 2) -> Operator3:
@@ -314,89 +301,100 @@ def drive_generator(transition: str, phase: float = -np.pi / 2) -> Operator3:
     return 0.5 * (np.exp(1j * phase) * base + np.exp(-1j * phase) * base.conj().T)
 
 
-def hamiltonian_at(spec: DriveHamiltonianSpec, t: float) -> Operator3:
-    """RWA Hamiltonian at time t (rad/s, hbar = 1).
+def _rk4_rows(x, amps, envelope, l_h, l_d, t0: float, span: float, dt: float) -> np.ndarray:
+    """RK4 on dy/dt = (a e(t) L_H + L_D) y for every row y of x, over [t0, t0 + span].
 
-    Outside the waveform span the drive terms vanish but the detuning
-    terms remain.
+    x has shape (rows, d), amps holds each row's amplitude a, and
+    envelope is e(t) with peak 1, vectorised over t. The span is cut into
+    grid_steps(span, dt) equal base steps, each split into the substeps
+    the row's amplitude needs; rows are integrated in substep groups, so
+    each result is independent of how the batch is composed. The result
+    has the common dtype of x, L_H and L_D.
     """
-    h = np.zeros((3, 3), dtype=complex)
-    if spec.wave01 is not None:
-        amp = float(spec.wave01.value_at(t))
-        h += amp * drive_generator("01", spec.phi01)
-    if spec.wave12 is not None:
-        amp = float(spec.wave12.value_at(t))
-        h += amp * drive_generator("12", spec.phi12)
-    h += spec.delta01 * _N1 + (spec.delta01 + spec.delta12) * _N2
-    return h
+    dtype = np.result_type(x, l_h, l_d)
+    l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
+    n_base = grid_steps(span, dt)
+    base_step = span / n_base
+
+    def rhs(y, drive):
+        # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
+        k = l_h @ y
+        k *= drive
+        k += l_d @ y
+        return k
+
+    out = np.empty_like(x, dtype=dtype)
+    subcounts = np.array([max(1, int(np.ceil(a * base_step / MAX_PHASE_PER_STEP))) for a in amps], dtype=int)
+    for n_sub in np.unique(subcounts):
+        rows = subcounts == n_sub
+        n_steps = n_base * int(n_sub)
+        step = span / n_steps
+        nodes = t0 + step * np.arange(n_steps + 1)
+        env_node = envelope(nodes)
+        env_mid = envelope(nodes[:-1] + 0.5 * step)
+        a = amps[rows][None, :]
+        # One column per row: (d, d) @ (d, rows) products are the fast layout.
+        y = np.array(x[rows].T, dtype=dtype, order="C")
+        # An unstable step overflows to inf or nan without a warning;
+        # the caller's check reports the row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n_steps):
+                k1 = rhs(y, a * env_node[i])
+                k2 = rhs(y + (0.5 * step) * k1, a * env_mid[i])
+                k3 = rhs(y + (0.5 * step) * k2, a * env_mid[i])
+                k4 = rhs(y + step * k3, a * env_node[i + 1])
+                # y += step / 6 (k1 + 2 (k2 + k3) + k4), in place
+                k2 += k3
+                k2 *= 2.0
+                k1 += k2
+                k1 += k4
+                k1 *= step / 6.0
+                y += k1
+        out[rows] = y.T
+    return out
 
 
-def _substeps_for(peak: float, dt: float) -> int:
-    if peak <= 0:
-        return 1
-    return max(1, int(np.ceil(peak * dt / MAX_PHASE_PER_STEP)))
+def _propagate_sampled(spec: DriveHamiltonianSpec, x: np.ndarray, l_h: np.ndarray, l_d: np.ndarray) -> np.ndarray:
+    """The RK4 core across the span of the spec's waveform.
 
-
-def _rk4(state, hfun, t0: float, dt: float, n_steps: int, rhs):
-    """Classic RK4 on d(state)/dt = rhs(state, hfun(t))."""
-    t = t0
-    for _ in range(n_steps):
-        h1 = hfun(t)
-        h2 = hfun(t + 0.5 * dt)
-        h3 = hfun(t + dt)
-        k1 = rhs(state, h1)
-        k2 = rhs(state + 0.5 * dt * k1, h2)
-        k3 = rhs(state + 0.5 * dt * k2, h2)
-        k4 = rhs(state + dt * k3, h3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return state
-
-
-def propagate_schrodinger(spec: DriveHamiltonianSpec, dt: float | None = None) -> Operator3:
-    """Unitary generated by the drive, assembled column by column.
-
-    Integrates i dU/dt = H(t) U with RK4 on the sampling grid (finer
-    substeps are taken automatically for strong drives) and verifies
-    unitarity to 1e-6.
+    The amplitude is the peak sample and the envelope the interpolated
+    samples divided by it, on the waveform's own step.
     """
-    t0, t1 = spec.span()
-    base_dt = spec.dt() if dt is None else dt
-    n_sub = _substeps_for(spec.peak(), base_dt)
-    step = base_dt / n_sub
-    n_steps = max(1, int(round((t1 - t0) / step)))
+    wave = spec.wave
+    peak = float(np.max(np.abs(wave.samples)))
+    scale = peak or 1.0  # a zero waveform has a = 0 and e = 0
 
-    def rhs(u, h):
-        return -1j * (h @ u)
+    def envelope(t):
+        return wave.value_at(t) / scale
 
-    u = _rk4(np.eye(3, dtype=complex), lambda t: hamiltonian_at(spec, t), t0, step, n_steps, rhs)
+    amps = np.full(len(x), peak)
+    return _rk4_rows(x, amps, envelope, l_h, l_d, wave.t_start, wave.t_end - wave.t_start, wave.dt)
+
+
+def propagate_schrodinger(spec: DriveHamiltonianSpec) -> Operator3:
+    """Unitary generated by the drive, verified to be unitary to 1e-6.
+
+    The RK4 core integrates i du/dt = H(t) u on the three basis vectors,
+    with generator -i G (:func:`drive_generator`) and no dissipator.
+    """
+    gen = -1j * drive_generator(spec.transition, spec.wave.phase)
+    u = _propagate_sampled(spec, np.eye(3, dtype=complex), gen, np.zeros((3, 3))).T
     defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
     if defect > 1e-6:
-        raise NumericToleranceError(f"propagated unitary defect {defect:.2e} exceeds 1e-6; reduce dt")
+        raise NumericToleranceError(f"propagated unitary defect {defect:.2e} exceeds 1e-6; sample more finely")
     return u
 
 
-def propagate_lindblad(
-    rho0: DensityMatrix, spec: DriveHamiltonianSpec, model: DecoherenceModel, dt: float | None = None
-) -> DensityMatrix:
-    """Dissipative evolution of rho0 across the drive span."""
-    t0, t1 = spec.span()
-    base_dt = spec.dt() if dt is None else dt
-    n_sub = _substeps_for(spec.peak(), base_dt)
-    step = base_dt / n_sub
-    n_steps = max(1, int(round((t1 - t0) / step)))
-    rates = thermal_rates(model)
-    damping, popflow = _dissipator_arrays(rates)
+def propagate_lindblad(rho0: DensityMatrix, spec: DriveHamiltonianSpec, model: DecoherenceModel) -> DensityMatrix:
+    """Dissipative evolution of rho0 across the drive span.
 
-    def rhs(rho, h):
-        return _pairwise_rhs(rho, h, damping, popflow)
-
-    rho = _rk4(np.array(rho0.matrix, dtype=complex), lambda t: hamiltonian_at(spec, t), t0, step, n_steps, rhs)
-    drift = abs(np.trace(rho).real - 1.0)
-    if drift > 1e-6:
-        raise NumericToleranceError(f"trace drift {drift:.2e} exceeds 1e-6; reduce dt")
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho)
+    The RK4 core integrates the superoperators of :func:`liouvillian`;
+    the result must pass :func:`check_density_batch`.
+    """
+    l_h, l_d = liouvillian(spec.transition, thermal_rates(model), spec.wave.phase)
+    rho = _propagate_sampled(spec, np.reshape(rho0.matrix, (1, 9)), l_h, l_d).reshape(3, 3)
+    check_density_batch(rho, "propagate_lindblad")
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 def liouvillian(transition: str, rates: ThermalRates, phase: float = -np.pi / 2) -> tuple[np.ndarray, np.ndarray]:
@@ -437,12 +435,10 @@ def lindblad_segment_batch(
     """Propagate a batch of density matrices through one drive segment.
 
     rho has shape (..., 3, 3) and amplitudes broadcasts against the
-    leading dimensions. The segment spans [-tau_c, tau_c] in
-    ceil(2 tau_c / dt) equal base steps, each split into the substeps the
-    row's peak amplitude needs; rows are integrated in substep groups so
-    each result is independent of how the batch is composed. RK4 runs on
-    vec(rho) with the analytic super-Gaussian envelope at the stage
-    times. The result is real when rho and L_H are, complex otherwise.
+    leading dimensions. The RK4 core runs on vec(rho) across
+    [-tau_c, tau_c] with the analytic super-Gaussian envelope at the
+    stage times and the superoperators of :func:`liouvillian`. The result
+    is real when rho and L_H are, complex otherwise.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
@@ -451,50 +447,11 @@ def lindblad_segment_batch(
     x = rho.reshape(-1, 9)
     if np.iscomplexobj(x) and not np.any(x.imag) and not np.iscomplexobj(l_h):
         x = x.real
-    dtype = np.result_type(x, l_h)
-    l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
-    span = 2.0 * tau_c
-    # span / dt carries rounding (56.000000000000007 for 56 ns at 1 GS/s);
-    # the tolerance keeps a whole number of samples from gaining a step.
-    n_base = max(1, int(np.ceil(span / dt - 1e-9)))
-    base_step = span / n_base
 
-    def rhs(y, drive):
-        # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
-        k = l_h @ y
-        k *= drive
-        k += l_d @ y
-        return k
+    def envelope(t):
+        return np.exp(-0.5 * (t / tau) ** 4)
 
-    out = np.empty_like(x, dtype=dtype)
-    subcounts = np.array([_substeps_for(a, base_step) for a in amps], dtype=int)
-    for n_sub in np.unique(subcounts):
-        rows = subcounts == n_sub
-        n_steps = n_base * int(n_sub)
-        step = span / n_steps
-        nodes = -tau_c + step * np.arange(n_steps + 1)
-        env_node = np.exp(-0.5 * (nodes / tau) ** 4)
-        env_mid = np.exp(-0.5 * ((nodes[:-1] + 0.5 * step) / tau) ** 4)
-        a = amps[rows][None, :]
-        # One column per row: (9, 9) @ (9, rows) products are the fast layout.
-        y = np.array(x[rows].T, dtype=dtype, order="C")
-        # An unstable step overflows to inf or nan without a warning;
-        # check_density_batch reports the row after the segment.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                k1 = rhs(y, a * env_node[i])
-                k2 = rhs(y + (0.5 * step) * k1, a * env_mid[i])
-                k3 = rhs(y + (0.5 * step) * k2, a * env_mid[i])
-                k4 = rhs(y + step * k3, a * env_node[i + 1])
-                # y += step / 6 (k1 + 2 (k2 + k3) + k4), in place
-                k2 += k3
-                k2 *= 2.0
-                k1 += k2
-                k1 += k4
-                k1 *= step / 6.0
-                y += k1
-        out[rows] = y.T
-    return out.reshape(lead + (3, 3))
+    return _rk4_rows(x, amps, envelope, l_h, l_d, -tau_c, 2.0 * tau_c, dt).reshape(lead + (3, 3))
 
 
 def check_density_batch(rho: np.ndarray, where: str) -> None:

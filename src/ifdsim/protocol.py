@@ -251,35 +251,30 @@ def dissipative_sweep(
     return rho
 
 
-def run_coherent_dissipative(spec: ProtocolSpec) -> OutcomeProbabilities:
-    """Full protocol through the master equation; returns diag(rho_final)."""
+def _sweep_spec(spec: ProtocolSpec, collect_checkpoints: bool = False):
+    """dissipative_sweep on the one protocol of spec."""
     if spec.model == "ideal":
-        raise ValueError("run_coherent_dissipative requires a dissipative model")
-    rho = dissipative_sweep(
+        raise ValueError("the master-equation runners need a dissipative model; use run_coherent_ideal")
+    return dissipative_sweep(
         np.array([spec.thetas]),
         spec.n_segments,
         spec.decoherence,
         geometry=spec.geometry(),
         depolarize=(spec.model == "lindblad_depol"),
         initial=spec.initial_rho(),
+        collect_checkpoints=collect_checkpoints,
     )
-    p = np.real(np.diagonal(rho[0]))
-    return OutcomeProbabilities(*p)
+
+
+def run_coherent_dissipative(spec: ProtocolSpec) -> OutcomeProbabilities:
+    """Full protocol through the master equation; returns diag(rho_final)."""
+    rho = _sweep_spec(spec)
+    return OutcomeProbabilities(*np.real(np.diagonal(rho[0])))
 
 
 def dissipative_checkpoints(spec: ProtocolSpec) -> list[DensityMatrix]:
     """Density matrix before the sequence and after every applied pulse."""
-    if spec.model == "ideal":
-        raise ValueError("checkpoints of the ideal path come from ideal_states")
-    _, checkpoints = dissipative_sweep(
-        np.array([spec.thetas]),
-        spec.n_segments,
-        spec.decoherence,
-        geometry=spec.geometry(),
-        depolarize=(spec.model == "lindblad_depol"),
-        initial=spec.initial_rho(),
-        collect_checkpoints=True,
-    )
+    _, checkpoints = _sweep_spec(spec, collect_checkpoints=True)
     out = []
     for c in checkpoints:
         m = 0.5 * (c[0] + c[0].conj().T)

@@ -131,14 +131,31 @@ class SampledWaveform:
         return np.where(inside, val, 0.0)
 
 
+def grid_steps(span: float, dt: float) -> int:
+    """Number of equal steps, each at most dt, that cover span.
+
+    span / dt carries rounding (60.00000000000001 for 60 ns at 1 GS/s);
+    the tolerance keeps a whole number of samples from gaining a step.
+    """
+    return max(1, int(np.ceil(span / dt - 1e-9)))
+
+
 def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLING_RATE) -> SampledWaveform:
-    """Sample a pulse envelope at the generator rate, covering [-tau_c, tau_c]."""
+    """Sample a pulse envelope on [-tau_c, tau_c], both ends included.
+
+    A pulse that lasts a whole number of generator periods is sampled at
+    the generator rate; otherwise the step shrinks to the longest one
+    below 1 / rate that divides 2 tau_c.
+    """
     if sampling_rate <= 0:
         raise ValueError("sampling_rate must be positive")
-    n_intervals = int(round(2 * pulse.tau_c * sampling_rate))
+    span = 2 * pulse.tau_c
+    dt = 1.0 / sampling_rate
+    n_intervals = grid_steps(span, dt)
     if n_intervals < 8:
         raise ValueError("degenerate sampling: need at least 8 samples across the pulse")
-    dt = 1.0 / sampling_rate
+    if abs(n_intervals * dt - span) > 1e-9 * dt:
+        dt = span / n_intervals
     ts = -pulse.tau_c + dt * np.arange(n_intervals + 1)
     return SampledWaveform(
         dt=dt,

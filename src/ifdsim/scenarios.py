@@ -25,6 +25,7 @@ from .protocol import (
     OutcomeProbabilities,
     ProtocolSpec,
     amplitude_recursion,
+    dissipative_checkpoints,
     dissipative_sweep,
     expansion_coefficients,
     ideal_amplitudes,
@@ -36,7 +37,7 @@ from .quantized import FieldCoupling, run_single_mode
 
 # b_pulse and beam_splitter are not called here; they stay module attributes
 # because the traced benchmark run (perfbench/invoke.py) wraps them by name.
-from .su3 import DensityMatrix, PureState, b_pulse, beam_splitter  # noqa: F401
+from .su3 import PureState, b_pulse, beam_splitter  # noqa: F401
 
 
 @dataclass
@@ -81,21 +82,8 @@ def emit_summary_json(result: SweepResult, path: str) -> None:
         fh.write("\n")
 
 
-CSV_NAMES = {
-    "n1_sweep": "n1_sweep.csv",
-    "n2_map": "n2_map.csv",
-    "multi_identical": "multi.csv",
-    "multi_random": "multi.csv",
-    "histogram": "histogram.csv",
-    "majorana_trajectory": "majorana.csv",
-    "projective_compare": "compare.csv",
-    "coefficients": "coefficients.csv",
-    "quantized_check": "quantized_check.csv",
-}
-
-
 def run_scenario(config: ExperimentConfig) -> SweepResult:
-    runner = _RUNNERS[config.scenario]
+    runner, _ = SCENARIOS[config.scenario]
     result = runner(config)
     result.config_echo = dict(sorted(config.raw.items(), key=lambda kv: kv[0]))
     result.config_echo = {
@@ -109,56 +97,17 @@ def run_scenario(config: ExperimentConfig) -> SweepResult:
 # Strength sweeps for N = 1 and N = 2
 # ---------------------------------------------------------------------------
 
-def _initial_vector(config: ExperimentConfig) -> np.ndarray:
-    choice = config.get("protocol.initial", "ground")
+def _initial_state(config: ExperimentConfig, model=None):
+    """The configured start state: a real vector for the ideal recursion
+    (|0> by default) or, given a dissipative model, a density matrix
+    (thermal by default)."""
+    choice = config.get("protocol.initial", "ground" if model is None else "thermal")
     if choice == "thermal":
-        raise ConfigError("protocol.initial = thermal requires a dissipative model")
-    if choice == "ground":
-        return PureState.basis(0).vector
-    if choice == "level1":
-        return PureState.basis(1).vector
-    raise ConfigError(f"protocol.initial must be ground|thermal|level1, got {choice!r}")
-
-
-def _initial_rho(config: ExperimentConfig, model) -> DensityMatrix:
-    choice = config.get("protocol.initial", "thermal")
-    if choice == "thermal":
+        if model is None:
+            raise ConfigError("protocol.initial = thermal requires a dissipative model")
         return thermal_state(model)
-    if choice == "ground":
-        return PureState.basis(0).density()
-    if choice == "level1":
-        return PureState.basis(1).density()
-    raise ConfigError(f"protocol.initial must be ground|thermal|level1, got {choice!r}")
-
-
-def _dissipative(
-    config: ExperimentConfig,
-    kind: str,
-    thetas,
-    n: int,
-    preset: str,
-    b_ns: float,
-    collect_checkpoints: bool = False,
-):
-    """dissipative_sweep on the configured model and pulses.
-
-    A value outside the domain of the model or the pulses (a negative
-    temperature, a probe the 56 ns family cannot stretch to) is a
-    configuration error.
-    """
-    try:
-        model = config.decoherence(default_preset=preset)
-        return dissipative_sweep(
-            thetas,
-            n,
-            model,
-            geometry=config.geometry(default_b_ns=b_ns),
-            depolarize=(kind == "lindblad_depol"),
-            initial=_initial_rho(config, model),
-            collect_checkpoints=collect_checkpoints,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    state = PureState.basis(0 if choice == "ground" else 1)
+    return state.vector if model is None else state.density()
 
 
 # Model defaults of the two scenario families: the N <= 2 strength maps
@@ -171,11 +120,27 @@ _MULTI = dict(default_kind="lindblad_depol", preset="sample2", b_ns=112.0)
 def _probabilities(
     config: ExperimentConfig, thetas: np.ndarray, n: int, default_kind: str, preset: str, b_ns: float
 ) -> np.ndarray:
-    """(p0, p1, p2) for a batch of strength vectors, shape (batch, 3)."""
-    kind = config.model_kind(default=default_kind)
+    """(p0, p1, p2) for a batch of strength vectors, shape (batch, 3).
+
+    On a dissipative model, a value outside the domain of the model or
+    the pulses (a negative temperature, a probe the 56 ns family cannot
+    stretch to) is a configuration error.
+    """
+    kind = config.get("model.kind", default_kind)
     if kind == "ideal":
-        return ideal_amplitudes(n, thetas, _initial_vector(config)) ** 2
-    rho = _dissipative(config, kind, thetas, n, preset=preset, b_ns=b_ns)
+        return ideal_amplitudes(n, thetas, _initial_state(config)) ** 2
+    try:
+        model = config.decoherence(default_preset=preset)
+        rho = dissipative_sweep(
+            thetas,
+            n,
+            model,
+            geometry=config.geometry(default_b_ns=b_ns),
+            depolarize=(kind == "lindblad_depol"),
+            initial=_initial_state(config, model),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return np.real(np.diagonal(rho, axis1=1, axis2=2))
 
 
@@ -329,32 +294,27 @@ def _run_histogram(config: ExperimentConfig) -> SweepResult:
 def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
     n = config.get("protocol.n", 25)
     thetas = config.thetas(n) or (np.pi,) * n
-    kind = config.model_kind(default="ideal")
+    kind = config.get("model.kind", "ideal")
     rows = []
 
     def add(mode: str, states):
         for step, stars in enumerate(star_trajectory(states)):
             rows.append((step, mode, *stars.s1, *stars.s2))
 
-    ideal_init = PureState.basis(0).vector if kind != "ideal" else _initial_vector(config)
+    ideal_init = PureState.basis(0).vector if kind != "ideal" else _initial_state(config)
     ideal = ideal_amplitudes(n, [thetas], ideal_init, checkpoints=True)[0]
     add("ideal", [PureState(v) for v in ideal])
     if kind != "ideal":
         defaults = _SMALL_N if n <= 2 else _MULTI
-        _, checkpoints = _dissipative(
-            config,
-            kind,
-            np.array([thetas]),
-            n,
-            preset=defaults["preset"],
-            b_ns=defaults["b_ns"],
-            collect_checkpoints=True,
-        )
-        states = []
-        for c in checkpoints:
-            m = 0.5 * (c[0] + c[0].conj().T)
-            states.append(DensityMatrix(m / np.trace(m).real).dominant_eigenvector())
-        add("dissipative_dominant", states)
+        try:
+            model = config.decoherence(default_preset=defaults["preset"])
+            geometry = config.geometry(default_b_ns=defaults["b_ns"])
+            initial = _initial_state(config, model)
+            spec = ProtocolSpec(n, thetas, initial, model=kind, decoherence=model, pulse_geometry=geometry)
+            checkpoints = dissipative_checkpoints(spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        add("dissipative_dominant", [c.dominant_eigenvector() for c in checkpoints])
     return SweepResult(
         scenario="majorana_trajectory",
         headers=("step", "mode", "s1x", "s1y", "s1z", "s2x", "s2y", "s2z"),
@@ -443,14 +403,16 @@ def _run_quantized_check(config: ExperimentConfig) -> SweepResult:
     )
 
 
-_RUNNERS = {
-    "n1_sweep": _run_n1_sweep,
-    "n2_map": _run_n2_map,
-    "multi_identical": _run_multi_identical,
-    "multi_random": _run_multi_random,
-    "histogram": _run_histogram,
-    "majorana_trajectory": _run_majorana_trajectory,
-    "projective_compare": _run_projective_compare,
-    "coefficients": _run_coefficients,
-    "quantized_check": _run_quantized_check,
+# name -> (runner, CSV file name): the one list of scenarios.
+SCENARIOS = {
+    "n1_sweep": (_run_n1_sweep, "n1_sweep.csv"),
+    "n2_map": (_run_n2_map, "n2_map.csv"),
+    "multi_identical": (_run_multi_identical, "multi.csv"),
+    "multi_random": (_run_multi_random, "multi.csv"),
+    "histogram": (_run_histogram, "histogram.csv"),
+    "majorana_trajectory": (_run_majorana_trajectory, "majorana.csv"),
+    "projective_compare": (_run_projective_compare, "compare.csv"),
+    "coefficients": (_run_coefficients, "coefficients.csv"),
+    "quantized_check": (_run_quantized_check, "quantized_check.csv"),
 }
+CSV_NAMES = {name: csv_name for name, (_, csv_name) in SCENARIOS.items()}

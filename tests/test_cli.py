@@ -8,9 +8,9 @@ import pytest
 
 import ifdsim
 from ifdsim import ConfigError, NumericToleranceError
-from ifdsim.cli import main
-from ifdsim.config import parse_config_text, point_seed
-from ifdsim.scenarios import run_scenario
+from ifdsim.cli import build_parser, main
+from ifdsim.config import load_config, parse_config_text, point_seed
+from ifdsim.scenarios import CSV_NAMES, SCENARIOS, run_scenario
 
 
 def write(tmp_path, name, text):
@@ -73,6 +73,24 @@ def test_range_validation():
         parse_config_text("scenario = multi_random\nsweep.m = 0\n")
     with pytest.raises(ConfigError):
         parse_config_text("scenario = multi_random\nsweep.random_kind = gaussian\n")
+
+
+def test_unknown_scenario_in_config_file_rejected(tmp_path, capsys):
+    cfg = write(tmp_path, "u.cfg", "scenario = n3_sweep\n")
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        load_config(cfg)
+    assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "u")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_choices_come_from_the_scenario_table():
+    parser = build_parser()
+    for name in SCENARIOS:
+        assert parser.parse_args([name, "--config", "c.cfg"]).scenario == name
+    with pytest.raises(SystemExit) as exc:
+        main(["n3_sweep", "--config", "c.cfg"])
+    assert exc.value.code == 2
+    assert CSV_NAMES == {name: csv_name for name, (_, csv_name) in SCENARIOS.items()}
 
 
 def test_theta_broadcasting():
@@ -172,6 +190,17 @@ def test_cli_numeric_failure_prints_one_line(tmp_path, scenario, text):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("numeric tolerance failure:")
+
+
+@pytest.mark.parametrize("scenario", ["coefficients", "projective_compare", "quantized_check"])
+@pytest.mark.parametrize("text", ["model.kind = lindbladd\n", "protocol.initial = groundd\n"], ids=["kind", "initial"])
+def test_cli_misspelt_choice_exits_2(tmp_path, capsys, scenario, text):
+    # These scenarios never read the two keys, so only the parser can catch a typo.
+    cfg = write(tmp_path, "typo.cfg", "sweep.n_max = 2\n" + text)
+    out = tmp_path / "typo"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -100,6 +100,28 @@ def test_sample_waveform_grid():
         sample_waveform(p, sampling_rate=1e8)  # fewer than 8 samples
 
 
+def test_sample_waveform_spans_the_pulse_at_any_rate():
+    p = PulseEnvelope(omega0=1.0e8, tau=TAU, tau_c=TAU_C)
+    wf = sample_waveform(p, sampling_rate=0.7e9)
+    # 39.2 generator periods: 40 intervals of 1.4 ns, not 39 of 1/0.7 ns
+    assert len(wf.samples) == 41
+    assert wf.t_start == pytest.approx(-TAU_C, rel=1e-12)
+    assert wf.t_end == pytest.approx(TAU_C, rel=1e-12)
+    times = wf.t_start + wf.dt * np.arange(len(wf.samples))
+    assert wf.samples == pytest.approx(envelope_value(p, times), rel=1e-12)
+    assert wf.samples[20] == pytest.approx(1.0e8)
+
+
+def test_sample_waveform_keeps_the_generator_step():
+    # A whole number of generator periods keeps dt = 1 / rate exactly.
+    for duration in (56e-9, 60e-9, 61e-9, 400e-9):
+        p = PulseEnvelope(omega0=1.0e8, tau=duration / 4, tau_c=duration / 2)
+        wf = sample_waveform(p, sampling_rate=1e9)
+        assert wf.dt == 1e-9
+        ts = -p.tau_c + 1e-9 * np.arange(len(wf.samples))
+        assert np.array_equal(wf.samples, envelope_value(p, ts))
+
+
 def test_waveform_interpolation():
     p = PulseEnvelope(omega0=1.0e8, tau=TAU, tau_c=TAU_C)
     wf = sample_waveform(p)
