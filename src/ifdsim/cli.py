@@ -4,7 +4,9 @@
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numeric
 tolerance guarantee fails during propagation. Outputs are byte-identical
-for identical (config, seed) regardless of thread count.
+for identical (config, seed). --threads (default IFD_SIM_THREADS, then the
+config's threads) must be at least 1 but has no effect: every scenario
+runs in one thread.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: IFD_SIM_THREADS or 1)",
+        help="accepted for compatibility, no effect; must be >= 1 (default: IFD_SIM_THREADS or 1)",
     )
     return parser
 
@@ -47,7 +49,11 @@ def main(argv=None) -> int:
             config = replace(config, output_dir=args.out)
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("IFD_SIM_THREADS", config.threads))
+            env_threads = os.environ.get("IFD_SIM_THREADS", str(config.threads))
+            try:
+                threads = int(env_threads)
+            except ValueError:
+                raise ConfigError(f"IFD_SIM_THREADS must be an integer, got {env_threads!r}") from None
         if threads < 1:
             raise ConfigError("threads must be >= 1")
         config = replace(config, threads=threads)

@@ -79,7 +79,7 @@ KNOWN_KEYS = {
     "histogram.theta_pi": (_parse_float, "probe strength for the histogram, units of pi"),
     "rng_seed": (int, "base seed for all sampling"),
     "output_dir": (str, "directory for emitted files"),
-    "threads": (int, "worker threads (outputs do not depend on this)"),
+    "threads": (int, "accepted for compatibility, no effect; must be >= 1"),
 }
 
 _DECOHERENCE_FIELDS = {
@@ -102,7 +102,7 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
     rng_seed: int = 0
     output_dir: str = "out"
-    threads: int = 1
+    threads: int = 1  # validated (>= 1); no scenario reads it
 
     def get(self, key: str, default=None):
         return self.raw.get(key, default)

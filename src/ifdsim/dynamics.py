@@ -276,7 +276,8 @@ def lindblad_general_rhs(rho: np.ndarray, h: np.ndarray, model: DecoherenceModel
 class DriveHamiltonianSpec:
     """One sampled drive, on the 0-1 (wave01) or the 1-2 (wave12) transition.
 
-    The drive phase is the waveform's.
+    The waveform's own transition must match its keyword. The drive
+    phase is the waveform's.
     """
 
     wave01: SampledWaveform | None = None
@@ -285,6 +286,11 @@ class DriveHamiltonianSpec:
     def __post_init__(self):
         if (self.wave01 is None) == (self.wave12 is None):
             raise ValueError("a drive spec holds exactly one of wave01 and wave12")
+        if self.wave.transition != self.transition:
+            raise ValueError(
+                f"a {self.wave.transition} waveform passed as wave{self.transition}; "
+                f"pass it as wave{self.wave.transition}"
+            )
 
     @property
     def transition(self) -> str:
@@ -498,22 +504,33 @@ def depolarizing_kraus(epsilon: float) -> list[Operator3]:
     return ops
 
 
-def apply_depolarizing(rho: DensityMatrix, epsilon: float) -> DensityMatrix:
-    """rho -> epsilon I/3 + (1 - epsilon) rho."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    return DensityMatrix(epsilon * np.eye(3) / 3.0 + (1.0 - epsilon) * rho.matrix)
+def apply_depolarizing(rho: np.ndarray, epsilon) -> np.ndarray:
+    """rho -> epsilon I/3 + (1 - epsilon) rho on a batch of shape (..., 3, 3).
+
+    epsilon broadcasts against the leading dimensions: one probability
+    per matrix, each in [0, 1].
+    """
+    eps = np.asarray(epsilon, dtype=float)
+    bad = ~((eps >= 0.0) & (eps <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"epsilon must be in [0, 1], got {eps[bad].flat[0]}")
+    eps = eps[..., None, None]
+    return eps * np.eye(3) / 3.0 + (1.0 - eps) * rho
 
 
 # Mixing probability of a pi probe pulse, from a best fit to long sequences.
 DEPOL_EPSILON_PER_PI = 1.8e-3
 
 
-def epsilon_for_theta(theta: float) -> float:
-    """Depolarizing probability of a probe pulse, linear in its strength."""
-    if theta < 0:
-        raise ValueError(f"theta must be non-negative, got {theta}")
-    return min(1.0, DEPOL_EPSILON_PER_PI * theta / np.pi)
+def epsilon_for_theta(theta):
+    """Depolarizing probability of a probe pulse, linear in its strength.
+
+    theta is one strength or an array of them, all non-negative.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0):
+        raise ValueError(f"theta must be non-negative, got {theta[theta < 0].flat[0]}")
+    return np.minimum(1.0, DEPOL_EPSILON_PER_PI * theta / np.pi)
 
 
 def operator_distance_2norm(u: Operator3, v: Operator3) -> float:

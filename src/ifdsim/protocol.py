@@ -19,6 +19,7 @@ import numpy as np
 
 from .dynamics import (
     DecoherenceModel,
+    apply_depolarizing,
     check_density_batch,
     epsilon_for_theta,
     lindblad_segment_batch,
@@ -26,7 +27,7 @@ from .dynamics import (
     thermal_rates,
     thermal_state,
 )
-from .pulses import PulseGeometry, effective_area, geometry_for_n
+from .pulses import PulseGeometry, amplitude_for_beamsplitter, amplitude_for_bpulse, effective_area, geometry_for_n
 from .su3 import DensityMatrix, Operator3, PureState, b_pulse, beam_splitter
 
 MODELS = ("ideal", "lindblad", "lindblad_depol")
@@ -210,8 +211,7 @@ def dissipative_sweep(
     rho = np.broadcast_to(rho0, (batch, 3, 3)).copy()
 
     s_tau, s_tau_c = geo.s_shape()
-    s_area = effective_area(s_tau, s_tau_c)
-    s_amp = np.pi / ((n_segments + 1) * s_area)
+    s_amp = amplitude_for_beamsplitter(n_segments, effective_area(s_tau, s_tau_c))
     # Row k of the map is the image of the k-th basis matrix, so
     # vec(rho) @ s_map applies the segment to every row.
     basis = np.eye(9).reshape(9, 3, 3)
@@ -238,11 +238,10 @@ def dissipative_sweep(
         for shape in np.unique(shapes, axis=0):
             mask = np.all(shapes == shape, axis=1)
             tau, tau_c = shape
-            area = effective_area(tau, tau_c)
-            rho[mask] = lindblad_segment_batch(rho[mask], col[mask] / area, "12", tau, tau_c, rates, dt)
+            amps = amplitude_for_bpulse(col[mask], effective_area(tau, tau_c))
+            rho[mask] = lindblad_segment_batch(rho[mask], amps, "12", tau, tau_c, rates, dt)
         if depolarize:
-            eps = np.array([epsilon_for_theta(t) for t in col])[:, None, None]
-            rho = (1.0 - eps) * rho + eps * np.eye(3) / 3.0
+            rho = apply_depolarizing(rho, epsilon_for_theta(col))
         finish_segment(f"probe {j + 1} of {n_segments}")
         run_s(j + 1)
 

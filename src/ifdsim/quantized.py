@@ -96,25 +96,39 @@ def jc_hamiltonian(g: float, n_max: int) -> np.ndarray:
     return h
 
 
-def coupling_unitary(g: float, t_b: float, n_max: int) -> np.ndarray:
-    """Probe-segment unitary on the (mode x qutrit) space.
+def _exchange_unitary(g: float, t_b: float, dims: tuple[int, ...], mode: int) -> np.ndarray:
+    """Exchange coupling between the qutrit and one mode of the field.
 
-    Each (|n,1>, |n-1,2>) block is rotated by theta_n = g sqrt(n) t_B in
-    the same sense as the semiclassical b_pulse, so an n-photon Fock
+    dims lists the Fock truncation of each mode, and the qutrit index is
+    fastest. Each block (|.., n, .., 1>, |.., n - 1, .., 2>), n the
+    occupation of the coupled mode, is rotated by theta_n = g sqrt(n) t_B
+    in the same sense as the semiclassical b_pulse, so an n-photon Fock
     state drives exactly the classical strength-theta_n pulse.
     """
-    dim = (n_max + 1) * 3
-    u = np.eye(dim, dtype=complex)
-    for n in range(1, n_max + 1):
+    shape = tuple(dims) + (3,)
+    u = np.eye(int(np.prod(shape)), dtype=complex)
+    for occ in np.ndindex(*dims):
+        n = occ[mode]
+        if n < 1:
+            continue
         th = theta_n(g, n, t_b)
         c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-        i1 = n * 3 + 1
-        i2 = (n - 1) * 3 + 2
+        lowered = occ[:mode] + (n - 1,) + occ[mode + 1:]
+        i1 = np.ravel_multi_index(occ + (1,), shape)
+        i2 = np.ravel_multi_index(lowered + (2,), shape)
         u[i1, i1] = c
         u[i2, i2] = c
         u[i1, i2] = -s
         u[i2, i1] = s
     return u
+
+
+def coupling_unitary(g: float, t_b: float, n_max: int) -> np.ndarray:
+    """Probe-segment unitary on the (mode x qutrit) space, Fock levels 0..n_max.
+
+    Each (|n,1>, |n-1,2>) block is rotated by theta_n = g sqrt(n) t_B.
+    """
+    return _exchange_unitary(g, t_b, (n_max + 1,), 0)
 
 
 def _splitter_on_composite(n_segments: int, field_dim: int) -> np.ndarray:
@@ -151,34 +165,6 @@ def run_single_mode(
     return state
 
 
-def _two_mode_coupling(g: float, t_b: float, dims: tuple[int, int], mode: int) -> np.ndarray:
-    """Exchange coupling between the qutrit and one of two modes."""
-    dim_a, dim_b = dims
-    total = dim_a * dim_b * 3
-
-    def flat(na, nb, level):
-        return (na * dim_b + nb) * 3 + level
-
-    u = np.eye(total, dtype=complex)
-    for na in range(dim_a):
-        for nb in range(dim_b):
-            occ = na if mode == 0 else nb
-            if occ < 1:
-                continue
-            th = theta_n(g, occ, t_b)
-            c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-            i1 = flat(na, nb, 1)
-            if mode == 0:
-                i2 = flat(na - 1, nb, 2)
-            else:
-                i2 = flat(na, nb - 1, 2)
-            u[i1, i1] = c
-            u[i2, i2] = c
-            u[i1, i2] = -s
-            u[i2, i1] = s
-    return u
-
-
 def run_two_mode(
     m_photons: int,
     n_photons: int,
@@ -204,8 +190,8 @@ def run_two_mode(
     psi = np.zeros(dims[0] * dims[1] * 3, dtype=complex)
     psi[(m_photons * dims[1] + n_photons) * 3 + 0] = 1.0
     s = _splitter_on_composite(2, dims[0] * dims[1])
-    u_first = _two_mode_coupling(g1, t_b1, dims, mode=1)  # mode-a (n photons)
-    u_second = _two_mode_coupling(g2, t_b2, dims, mode=0)  # mode-b (m photons)
+    u_first = _exchange_unitary(g1, t_b1, dims, mode=1)  # mode-a (n photons)
+    u_second = _exchange_unitary(g2, t_b2, dims, mode=0)  # mode-b (m photons)
     psi = s @ psi
     psi = s @ (u_first @ psi)
     psi = s @ (u_second @ psi)

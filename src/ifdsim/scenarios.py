@@ -1,16 +1,14 @@
 """Scenario catalog for the experiment runner.
 
 Every scenario maps a validated :class:`ExperimentConfig` to a
-:class:`SweepResult` holding CSV rows plus summary aggregates. Grid
-points are independent work units; when several worker threads are used
-the results are gathered and sorted before emission, so the bytes on
-disk never depend on scheduling.
+:class:`SweepResult` holding CSV rows plus summary aggregates. Every
+scenario runs in the calling thread, one N after another; the
+``threads`` setting is accepted and validated but has no effect.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,7 +34,8 @@ from .protocol import (
 from .quantized import FieldCoupling, run_single_mode
 
 # b_pulse and beam_splitter are not called here; they stay module attributes
-# because the traced benchmark run (perfbench/invoke.py) wraps them by name.
+# because the traced benchmark run (perfbench/invoke.py) wraps them by name,
+# as tests/test_cli.py checks.
 from .su3 import PureState, b_pulse, beam_splitter  # noqa: F401
 
 
@@ -184,39 +183,41 @@ def _run_n2_map(config: ExperimentConfig) -> SweepResult:
 # Multi-segment sweeps
 # ---------------------------------------------------------------------------
 
-def _thread_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _run_multi(
+    config: ExperimentConfig, scenario: str, m_count: int, strengths, theta_spec, extra_stats, **aggregates
+) -> SweepResult:
+    """Sweep N over sweep.n_min..n_max at the multi-segment model defaults.
+
+    strengths(n) gives the (m_count, n) strengths of size n, theta_spec
+    the theta_spec column (one value per m), and extra_stats(p0) the
+    scenario's per-N statistics beyond the mean and spread of p0.
+    """
+    rows = []
+    per_n = {}
+    for n in range(config.get("sweep.n_min", 1), config.get("sweep.n_max", 25) + 1):
+        probs = _probabilities(config, strengths(n), n, **_MULTI)
+        for m, (spec, p) in enumerate(zip(theta_spec, probs), start=1):
+            rows.append((n, m, spec, *p))
+        p0 = probs[:, 0]
+        per_n[str(n)] = {"mean_p0": float(p0.mean()), "std_p0": float(p0.std()), **extra_stats(p0)}
+    return SweepResult(
+        scenario=scenario,
+        headers=("n", "m", "theta_spec", "p0", "p1", "p2"),
+        rows=rows,
+        aggregates={"per_n": per_n, "m": m_count, **aggregates},
+    )
 
 
 def _run_multi_identical(config: ExperimentConfig) -> SweepResult:
-    n_min = config.get("sweep.n_min", 1)
-    n_max = config.get("sweep.n_max", 25)
     m_count = config.get("sweep.m", 180)
     theta_grid = np.arange(1, m_count + 1) * np.pi / m_count
-
-    def one_n(n: int):
-        thetas = np.repeat(theta_grid[:, None], n, axis=1)
-        return n, _probabilities(config, thetas, n, **_MULTI)
-
-    results = _thread_map(one_n, range(n_min, n_max + 1), config.threads)
-    rows = []
-    per_n = {}
-    for n, probs in sorted(results):
-        for m, (theta, p) in enumerate(zip(theta_grid, probs), start=1):
-            rows.append((n, m, theta, p[0], p[1], p[2]))
-        per_n[str(n)] = {
-            "mean_p0": float(probs[:, 0].mean()),
-            "std_p0": float(probs[:, 0].std()),
-            "p0_at_pi": float(probs[-1, 0]),
-        }
-    return SweepResult(
-        scenario="multi_identical",
-        headers=("n", "m", "theta_spec", "p0", "p1", "p2"),
-        rows=rows,
-        aggregates={"per_n": per_n, "m": m_count},
+    return _run_multi(
+        config,
+        "multi_identical",
+        m_count,
+        strengths=lambda n: np.repeat(theta_grid[:, None], n, axis=1),
+        theta_spec=theta_grid,
+        extra_stats=lambda p0: {"p0_at_pi": float(p0[-1])},
     )
 
 
@@ -233,32 +234,16 @@ def _random_thetas(config: ExperimentConfig, n: int, m_count: int) -> np.ndarray
 
 
 def _run_multi_random(config: ExperimentConfig) -> SweepResult:
-    n_min = config.get("sweep.n_min", 1)
-    n_max = config.get("sweep.n_max", 25)
     m_count = config.get("sweep.m", 400)
     kind = config.get("sweep.random_kind", "uniform")
-
-    def one_n(n: int):
-        thetas = _random_thetas(config, n, m_count)
-        return n, _probabilities(config, thetas, n, **_MULTI)
-
-    results = _thread_map(one_n, range(n_min, n_max + 1), config.threads)
-    rows = []
-    per_n = {}
-    for n, probs in sorted(results):
-        for m, p in enumerate(probs, start=1):
-            rows.append((n, m, kind, p[0], p[1], p[2]))
-        per_n[str(n)] = {
-            "mean_p0": float(probs[:, 0].mean()),
-            "min_p0": float(probs[:, 0].min()),
-            "max_p0": float(probs[:, 0].max()),
-            "std_p0": float(probs[:, 0].std()),
-        }
-    return SweepResult(
-        scenario="multi_random",
-        headers=("n", "m", "theta_spec", "p0", "p1", "p2"),
-        rows=rows,
-        aggregates={"per_n": per_n, "m": m_count, "random_kind": kind},
+    return _run_multi(
+        config,
+        "multi_random",
+        m_count,
+        strengths=lambda n: _random_thetas(config, n, m_count),
+        theta_spec=[kind] * m_count,
+        extra_stats=lambda p0: {"min_p0": float(p0.min()), "max_p0": float(p0.max())},
+        random_kind=kind,
     )
 
 

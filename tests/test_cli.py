@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import ifdsim
-from ifdsim import ConfigError, NumericToleranceError
+from ifdsim import ConfigError, NumericToleranceError, protocol, scenarios
 from ifdsim.cli import build_parser, main
 from ifdsim.config import load_config, parse_config_text, point_seed
 from ifdsim.scenarios import CSV_NAMES, SCENARIOS, run_scenario
@@ -91,6 +93,20 @@ def test_cli_choices_come_from_the_scenario_table():
         main(["n3_sweep", "--config", "c.cfg"])
     assert exc.value.code == 2
     assert CSV_NAMES == {name: csv_name for name, (_, csv_name) in SCENARIOS.items()}
+
+
+def test_traced_benchmark_names_resolve():
+    # The traced benchmark run wraps each (module, attribute) of its TRACED
+    # table where scenarios and protocol look the name up.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "invoke.py"
+    spec = importlib.util.spec_from_file_location("perfbench_invoke", path)
+    invoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(invoke)
+    modules = {"scenarios": scenarios, "protocol": protocol}
+    missing = [
+        (module, attr) for module, attr, _ in invoke.TRACED if not callable(getattr(modules[module], attr, None))
+    ]
+    assert invoke.TRACED and not missing
 
 
 def test_theta_broadcasting():
@@ -268,6 +284,9 @@ def test_env_var_thread_default(tmp_path, monkeypatch):
     out = tmp_path / "env"
     assert main(["multi_identical", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "multi.csv").exists()
+    for bad in ("two", "0"):
+        monkeypatch.setenv("IFD_SIM_THREADS", bad)
+        assert main(["multi_identical", "--config", cfg, "--out", str(tmp_path / bad)]) == 2
 
 
 def test_grid_coverage_unique(tmp_path):

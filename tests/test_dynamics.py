@@ -118,6 +118,15 @@ def test_drive_spec_holds_exactly_one_drive():
     assert DriveHamiltonianSpec(wave12=wf12).transition == "12"
 
 
+def test_drive_spec_rejects_a_waveform_for_the_other_transition():
+    wf01 = sample_waveform(PulseEnvelope(omega0=1e8, tau=TAU, tau_c=TAU_C))
+    wf12 = sample_waveform(PulseEnvelope(omega0=1e8, tau=TAU, tau_c=TAU_C, transition="12"))
+    with pytest.raises(ValueError, match="12 waveform passed as wave01"):
+        DriveHamiltonianSpec(wave01=wf12)
+    with pytest.raises(ValueError, match="01 waveform passed as wave12"):
+        DriveHamiltonianSpec(wave12=wf01)
+
+
 # ---------------------------------------------------------------------------
 # Propagators
 # ---------------------------------------------------------------------------
@@ -290,21 +299,29 @@ def test_kraus_action_matches_closed_form(eps):
 
 
 def test_apply_depolarizing():
-    rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
-    assert np.allclose(apply_depolarizing(rho, 0.0).matrix, rho.matrix)
-    assert np.allclose(apply_depolarizing(rho, 1.0).matrix, np.eye(3) / 3)
-    assert np.allclose(apply_depolarizing(rho, 0.5).populations(), [2 / 3, 1 / 6, 1 / 6])
-    with pytest.raises(ValueError):
-        apply_depolarizing(rho, 1.5)
+    rho = np.stack([random_density(seed) for seed in range(4)])
+    eps = np.array([0.0, 0.25, 0.5, 1.0])
+    out = apply_depolarizing(rho, eps)
+    assert out.shape == (4, 3, 3)
+    for row, e in enumerate(eps):
+        assert np.max(np.abs(out[row] - (e * np.eye(3) / 3 + (1 - e) * rho[row]))) < 1e-15
+    pure = np.diag([1.0, 0.0, 0.0])[None]
+    assert np.allclose(np.diagonal(apply_depolarizing(pure, [0.5])[0]), [2 / 3, 1 / 6, 1 / 6])
+    for bad in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            apply_depolarizing(rho, np.array([0.0, 0.1, bad, 0.2]))
     with pytest.raises(ValueError):
         depolarizing_kraus(-0.1)
 
 
 def test_epsilon_for_theta():
-    assert epsilon_for_theta(np.pi) == pytest.approx(1.8e-3)
-    assert epsilon_for_theta(0.0) == 0.0
-    assert epsilon_for_theta(np.pi / 2) == pytest.approx(9e-4)
-    assert epsilon_for_theta(1e6) == 1.0
+    thetas = np.array([np.pi, 0.0, np.pi / 2, 1e6])
+    eps = epsilon_for_theta(thetas)
+    assert eps == pytest.approx([1.8e-3, 0.0, 9e-4, 1.0])
+    assert eps.tolist() == [epsilon_for_theta(t) for t in thetas]
+    assert eps[1] == 0.0 and eps[3] == 1.0
+    with pytest.raises(ValueError):
+        epsilon_for_theta(np.array([0.5, -1.0, 2.0]))
     with pytest.raises(ValueError):
         epsilon_for_theta(-1.0)
 
