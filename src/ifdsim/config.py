@@ -195,16 +195,13 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
 
 
 def _validate_ranges(raw: dict) -> None:
-    for key, least in (("sweep.m", 1), ("sweep.points", 2), ("protocol.n", 1), ("histogram.shots", 1), ("threads", 1)):
+    for key, least in (("sweep.m", 1), ("sweep.points", 2), ("sweep.n_min", 1), ("sweep.n_max", 1),
+                       ("protocol.n", 1), ("histogram.shots", 1), ("threads", 1)):
         if raw.get(key, least) < least:
             raise ConfigError(f"{key} must be >= {least}")
     for key in ("pulse.s_duration_ns", "pulse.b_duration_ns", "pulse.sampling_rate_hz"):
         if raw.get(key, 1.0) <= 0:
             raise ConfigError(f"{key} must be positive")
-    n_min = raw.get("sweep.n_min", 1)
-    n_max = raw.get("sweep.n_max", 25)
-    if not 1 <= n_min <= n_max:
-        raise ConfigError("need 1 <= sweep.n_min <= sweep.n_max")
     for key, allowed in _CHOICES.items():
         if key in raw and raw[key] not in allowed:
             raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {raw[key]!r}")

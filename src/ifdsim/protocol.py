@@ -31,6 +31,7 @@ from .pulses import PulseGeometry, amplitude_for_beamsplitter, amplitude_for_bpu
 from .su3 import DensityMatrix, Operator3, PureState, b_pulse, beam_splitter
 
 MODELS = ("ideal", "lindblad", "lindblad_depol")
+EXPANSION_MAX_N = 25  # largest N of the expansion_coefficients tables
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def dissipative_sweep(
         col = thetas[:, j]
         # Group rows by probe-pulse shape; the 56 ns family stretches at
         # large theta, changing tau and the calibration area.
-        shapes = np.array([geo.b_shape(t) for t in col])
+        shapes = np.stack(geo.b_shape(col), axis=1)
         for shape in np.unique(shapes, axis=0):
             mask = np.all(shapes == shape, axis=1)
             tau, tau_c = shape
@@ -297,70 +298,28 @@ def amplitude_recursion(n_segments: int, thetas) -> list[tuple[float, float, flo
     return [tuple(v) for v in states.tolist()]
 
 
-def _shift_cos_mul_cos(coeffs: np.ndarray) -> np.ndarray:
-    """cos(theta/2) * sum c_k cos(k theta/2), re-expanded in cos(k theta/2)."""
-    out = np.zeros(len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k + 1] += 0.5 * c
-        out[abs(k - 1)] += 0.5 * c
-    return out
-
-
-def _shift_sin_mul_sin(coeffs: np.ndarray) -> np.ndarray:
-    """sin(theta/2) * sum s_k sin(k theta/2), re-expanded in cos(k theta/2)."""
-    out = np.zeros(len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        if k == 0:
-            continue
-        out[k - 1] += 0.5 * c
-        out[k + 1] -= 0.5 * c
-    return out
-
-
-def _shift_sin_mul_cos(coeffs: np.ndarray) -> np.ndarray:
-    """sin(theta/2) * sum c_k cos(k theta/2), re-expanded in sin(k theta/2)."""
-    out = np.zeros(len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k + 1] += 0.5 * c
-        if k - 1 >= 1:
-            out[k - 1] -= 0.5 * c
-        elif k - 1 == -1:
-            out[1] += 0.5 * c
-    return out
-
-
-def _shift_cos_mul_sin(coeffs: np.ndarray) -> np.ndarray:
-    """cos(theta/2) * sum s_k sin(k theta/2), re-expanded in sin(k theta/2)."""
-    out = np.zeros(len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        if k == 0:
-            continue
-        out[k + 1] += 0.5 * c
-        if k - 1 >= 1:
-            out[k - 1] += 0.5 * c
-    return out
-
-
 def expansion_coefficients(n_segments: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trigonometric expansion tables for identical-strength protocols.
 
     For theta_j = theta the final amplitudes are
     alpha_N = sum_k C[k] cos(k theta/2), beta_N = sum_k Cp[k] cos(k theta/2)
-    and gamma_N = sum_k Cpp[k] sin(k theta/2), with k = 0..N. Entries
-    outside the valid index range are explicit zeros.
+    and gamma_N = sum_k Cpp[k] sin(k theta/2), with k = 0..N. The tables
+    are the real DFT of :func:`ideal_amplitudes` sampled at the
+    m = 2(N + 1) strengths theta_j = 4 pi j / m. Each amplitude is a
+    trigonometric polynomial of degree N in theta/2 and N < m/2, so no
+    harmonic aliases onto another and the DFT is exact up to rounding.
+    Cpp[0] multiplies sin(0) and is written as an exact +0.
     """
-    if not 1 <= n_segments <= 25:
-        raise ValueError(f"n_segments must be in 1..25, got {n_segments}")
-    phi = np.pi / (2.0 * (n_segments + 1))
-    c, s = np.cos(phi), np.sin(phi)
-    ca = np.array([c])  # alpha_0 = cos(phi), constant in theta
-    cb = np.array([s])
-    cg = np.array([0.0])
-    for _ in range(n_segments):
-        new_a = c * np.pad(ca, (0, 1)) - s * _shift_cos_mul_cos(cb) + s * _shift_sin_mul_sin(cg)
-        new_b = s * np.pad(ca, (0, 1)) + c * _shift_cos_mul_cos(cb) - c * _shift_sin_mul_sin(cg)
-        new_g = _shift_sin_mul_cos(cb) + _shift_cos_mul_sin(cg)
-        ca, cb, cg = new_a, new_b, new_g
+    if not 1 <= n_segments <= EXPANSION_MAX_N:
+        raise ValueError(f"n_segments must be in 1..{EXPANSION_MAX_N}, got {n_segments}")
+    m = 2 * (n_segments + 1)
+    j = np.arange(m)
+    amps = ideal_amplitudes(n_segments, np.repeat(4.0 * np.pi * j[:, None] / m, n_segments, axis=1))
+    # k j is reduced mod m first, so the twiddle angles stay in [0, 2 pi).
+    phase = 2.0 * np.pi * (np.outer(np.arange(n_segments + 1), j) % m) / m
+    ca, cb = (2.0 / m) * (np.cos(phase) @ amps[:, :2]).T
+    cg = (2.0 / m) * (np.sin(phase) @ amps[:, 2])
+    ca[0], cb[0], cg[0] = amps[:, 0].mean(), amps[:, 1].mean(), 0.0
     return ca, cb, cg
 
 

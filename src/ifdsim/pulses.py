@@ -165,24 +165,31 @@ def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLIN
     )
 
 
+def stretched_duration(theta):
+    """Total probe duration in seconds of the 56 ns family, elementwise over theta in [0, 4 pi].
+
+    56 ns up to 3.38 pi; above that the duration is stepped through
+    57..61 ns in six equal theta bins so the area grows and the peak
+    amplitude stays within generator headroom.
+    """
+    theta = np.asarray(theta, dtype=float)
+    outside = ~((theta >= 0) & (theta <= STRETCH_THETA_MAX))
+    if np.any(outside):
+        raise ValueError(f"theta must be in [0, 4 pi], got {theta[outside].flat[0]}")
+    n_bins = STRETCH_MAX_NS - STRETCH_BASE_NS + 1
+    width = (STRETCH_THETA_MAX - STRETCH_THETA) / n_bins
+    step = np.minimum(((theta - STRETCH_THETA) / width).astype(int), n_bins - 1)
+    total_ns = np.where(theta <= STRETCH_THETA, STRETCH_BASE_NS, STRETCH_BASE_NS + step)
+    return total_ns * 1e-9
+
+
 def duration_for_theta(theta: float) -> tuple[float, float]:
     """(tau, tau_c) for a probe pulse of strength theta in [0, 4 pi].
 
-    56 ns total duration up to 3.38 pi; above that the total duration is
-    stepped through 57..61 ns in six equal theta bins so the area grows
-    and the peak amplitude stays within generator headroom. The shape
+    The total duration follows :func:`stretched_duration`; the shape
     ratio tau_c = 2 tau is kept fixed.
     """
-    if theta < 0 or theta > STRETCH_THETA_MAX:
-        raise ValueError(f"theta must be in [0, 4 pi], got {theta}")
-    if theta <= STRETCH_THETA:
-        total_ns = STRETCH_BASE_NS
-    else:
-        n_bins = STRETCH_MAX_NS - STRETCH_BASE_NS + 1
-        width = (STRETCH_THETA_MAX - STRETCH_THETA) / n_bins
-        step = min(int((theta - STRETCH_THETA) / width), n_bins - 1)
-        total_ns = STRETCH_BASE_NS + step
-    total = total_ns * 1e-9
+    total = float(stretched_duration(theta))
     return total / 4.0, total / 2.0
 
 
@@ -198,23 +205,20 @@ class PulseGeometry:
     def s_shape(self) -> tuple[float, float]:
         return self.s_duration / 4.0, self.s_duration / 2.0
 
-    def b_shape(self, theta: float) -> tuple[float, float]:
-        """Probe-pulse (tau, tau_c); the 56 ns family stretches above 3.38 pi."""
-        base = (self.b_duration / 4.0, self.b_duration / 2.0)
-        if (
-            self.stretch_long_pulses
-            and abs(self.b_duration - 56e-9) < 1e-15
-            and theta > STRETCH_THETA
-        ):
-            return duration_for_theta(theta)
-        return base
+    def b_shape(self, theta):
+        """Probe-pulse (tau, tau_c), elementwise over theta; the 56 ns family stretches above 3.38 pi."""
+        theta = np.asarray(theta, dtype=float)
+        total = np.full(theta.shape, self.b_duration)
+        if self.stretch_long_pulses and abs(self.b_duration - 56e-9) < 1e-15:
+            long = theta > STRETCH_THETA
+            total[long] = stretched_duration(theta[long])
+        return total / 4.0, total / 2.0
 
     def total_duration(self, n_segments: int, thetas=None) -> float:
         """Length of the full sequence: N+1 beam splitters and N probe windows."""
         if thetas is None:
             thetas = [0.0] * n_segments
-        b_total = sum(4.0 * self.b_shape(th)[0] for th in thetas)
-        return (n_segments + 1) * self.s_duration + b_total
+        return (n_segments + 1) * self.s_duration + float(np.sum(4.0 * self.b_shape(thetas)[0]))
 
 
 def geometry_for_n(n_segments: int) -> PulseGeometry:

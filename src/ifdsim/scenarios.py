@@ -20,6 +20,7 @@ from .dynamics import thermal_state
 from .majorana import star_trajectory
 from .metrics import cumulative_absorption, efficiency, pr_nr, sample_shots
 from .protocol import (
+    EXPANSION_MAX_N,
     OutcomeProbabilities,
     ProtocolSpec,
     amplitude_recursion,
@@ -90,6 +91,21 @@ def run_scenario(config: ExperimentConfig) -> SweepResult:
     }
     result.rng_seed = config.rng_seed
     return result
+
+
+def _n_range(config: ExperimentConfig, default_max: int, limit: int | None = None) -> range:
+    """sweep.n_min..sweep.n_max, with this scenario's default n_max.
+
+    An empty range, or an n_max above the scenario's limit, is a
+    configuration error; the parser has already checked both ends >= 1.
+    """
+    n_min = config.get("sweep.n_min", 1)
+    n_max = config.get("sweep.n_max", default_max)
+    if n_min > n_max:
+        raise ConfigError(f"need sweep.n_min <= sweep.n_max, got {n_min} > {n_max}")
+    if limit is not None and n_max > limit:
+        raise ConfigError(f"sweep.n_max must be <= {limit} for {config.scenario}, got {n_max}")
+    return range(n_min, n_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +210,7 @@ def _run_multi(
     """
     rows = []
     per_n = {}
-    for n in range(config.get("sweep.n_min", 1), config.get("sweep.n_max", 25) + 1):
+    for n in _n_range(config, 25):
         probs = _probabilities(config, strengths(n), n, **_MULTI)
         for m, (spec, p) in enumerate(zip(theta_spec, probs), start=1):
             rows.append((n, m, spec, *p))
@@ -309,13 +325,12 @@ def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
 
 
 def _run_projective_compare(config: ExperimentConfig) -> SweepResult:
-    n_min = config.get("sweep.n_min", 1)
-    n_max = config.get("sweep.n_max", 25)
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in _n_range(config, 25):
         thetas = [np.pi] * n
-        p = run_coherent_ideal(ProtocolSpec(n, thetas))
         amps = amplitude_recursion(n, thetas)
+        alpha, _, gamma = amps[-1]
+        p0, p2 = alpha * alpha, gamma * gamma
         cum_coh = cumulative_absorption([g * g for _, _, g in amps[1:]])
         proj = run_projective(n, thetas)
         p_det, p_abs = projective_closed_form(n)
@@ -323,9 +338,9 @@ def _run_projective_compare(config: ExperimentConfig) -> SweepResult:
         rows.append(
             (
                 n,
-                p.p0,
-                p.p2,
-                efficiency(p.p0, p.p2),
+                p0,
+                p2,
+                efficiency(p0, p2),
                 p_det,
                 p_abs,
                 efficiency(p_det, p_abs),
@@ -351,10 +366,8 @@ def _run_projective_compare(config: ExperimentConfig) -> SweepResult:
 
 
 def _run_coefficients(config: ExperimentConfig) -> SweepResult:
-    n_min = config.get("sweep.n_min", 1)
-    n_max = config.get("sweep.n_max", 4)
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in _n_range(config, 4, limit=EXPANSION_MAX_N):
         tables = expansion_coefficients(n)
         for series, coeffs in zip(("amp0", "amp1", "amp2"), tables):
             for k, value in enumerate(coeffs):
@@ -367,10 +380,9 @@ def _run_coefficients(config: ExperimentConfig) -> SweepResult:
 
 
 def _run_quantized_check(config: ExperimentConfig) -> SweepResult:
-    n_max_segments = config.get("sweep.n_max", 5)
     rows = []
     worst = 0.0
-    for n in range(1, n_max_segments + 1):
+    for n in _n_range(config, 5):
         for photons in range(1, 5):
             coupling = FieldCoupling(g=np.pi / np.sqrt(photons), t_b=1.0)
             theta = coupling.g * np.sqrt(photons) * coupling.t_b

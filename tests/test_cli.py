@@ -4,9 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ifdsim
 from ifdsim import ConfigError, NumericToleranceError, protocol, scenarios
@@ -217,6 +219,111 @@ def test_cli_misspelt_choice_exits_2(tmp_path, capsys, scenario, text):
     assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, text",
+    [
+        ("coefficients", "sweep.n_max = 30\n"),
+        ("coefficients", "sweep.n_min = 10\n"),
+        ("quantized_check", "sweep.n_min = 6\n"),
+        ("projective_compare", "sweep.n_min = 26\n"),
+        ("multi_random", "sweep.n_min = 3\nsweep.n_max = 2\n"),
+        ("multi_identical", "sweep.n_max = 0\n"),
+    ],
+    ids=["coefficients_beyond_tables", "coefficients_empty", "quantized_empty", "compare_empty",
+         "multi_reversed", "multi_zero"],
+)
+def test_cli_bad_n_range_exits_2(tmp_path, capsys, scenario, text):
+    # Each range is checked against the scenario's own default n_max:
+    # 4 for coefficients, 5 for quantized_check, 25 otherwise.
+    cfg = write(tmp_path, "range.cfg", text)
+    out = tmp_path / "range"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_quantized_check_honours_n_min(tmp_path):
+    cfg = write(tmp_path, "q.cfg", "sweep.n_min = 3\nsweep.n_max = 3\n")
+    out = tmp_path / "q"
+    assert main(["quantized_check", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "quantized_check.csv")
+    assert len(rows) == 4 * 3 and {r[0] for r in rows} == {"3"}
+
+
+# Small fixed value sets per key. Sizes stay tiny wherever a dissipative
+# model may run: the multi sweeps always get sweep.m and an n_max of at
+# most 3, n2_map always gets sweep.points and majorana_trajectory
+# protocol.n, so an example takes at most a few tenths of a second.
+_INT_EDGE = ("0", "-1", "2.5", "abc")
+_FLOAT_EDGE = ("0", "-1", "nan", "inf", "")
+_FUZZ_VALUES = {
+    "sweep.points": ("2", "3") + _INT_EDGE,
+    "sweep.m": ("1", "2") + _INT_EDGE,
+    "sweep.n_min": ("1", "2", "10", "26") + _INT_EDGE,
+    "sweep.n_max": ("1", "3", "25", "26", "30") + _INT_EDGE,
+    "protocol.n": ("1", "2", "3") + _INT_EDGE,
+    "histogram.shots": ("1", "100") + _INT_EDGE,
+    "sweep.theta_max_pi": ("1", "4", "5", "1e300") + _FLOAT_EDGE,
+    "histogram.theta_pi": ("1", "3.9", "5") + _FLOAT_EDGE,
+    "protocol.thetas_pi": ("1", "0.5,1", "4.5", "1,2,3", "1,inf") + _FLOAT_EDGE,
+    "model.kind": ("ideal", "lindblad", "lindblad_depol", "lindbladd"),
+    "protocol.initial": ("ground", "thermal", "level1", "groundd"),
+    "decoherence.preset": ("sample1", "sample2", "sample3"),
+    "decoherence.temperature_k": ("0.05", "1") + _FLOAT_EDGE,
+    "decoherence.gamma10_hz": ("1e6", "1e11") + _FLOAT_EDGE,
+    "decoherence.gphi02_hz": ("1e6",) + _FLOAT_EDGE,
+    "decoherence.omega12_hz": ("4.6e9",) + _FLOAT_EDGE,
+    "pulse.s_duration_ns": ("56", "20") + _FLOAT_EDGE,
+    "pulse.b_duration_ns": ("56", "112", "20") + _FLOAT_EDGE,
+    "pulse.sampling_rate_hz": ("1e9", "2e9", "1e8") + _FLOAT_EDGE,
+    "pulse.stretch": ("true", "false", "maybe"),
+    "sweep.random_kind": ("uniform", "binary", "gauss"),
+    "rng_seed": ("0", "7", "-1", "1.5"),
+    "threads": ("1", "2", "0", "x"),
+    "scenario": ("n1_sweep", "nope"),
+    "sweeps.points": ("3",),
+    "model.kinds": ("ideal",),
+}
+_FUZZ_MULTI_N_MAX = ("1", "2", "3") + _INT_EDGE
+_FUZZ_REQUIRED = {
+    "multi_identical": ("sweep.m", "sweep.n_max"),
+    "multi_random": ("sweep.m", "sweep.n_max"),
+    "n2_map": ("sweep.points",),
+    "majorana_trajectory": ("protocol.n",),
+}
+
+
+@st.composite
+def config_cases(draw):
+    """(scenario, config text): a few keys with edge values, sometimes a malformed line."""
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=4, unique=True))
+    keys += [key for key in _FUZZ_REQUIRED.get(scenario, ()) if key not in keys]
+    lines = []
+    for key in keys:
+        pool = _FUZZ_MULTI_N_MAX if key == "sweep.n_max" and scenario.startswith("multi_") else _FUZZ_VALUES[key]
+        lines.append(f"{key} = {draw(st.sampled_from(pool))}")
+    lines += draw(st.lists(st.sampled_from(("garbage", "= 1", "# comment", "rng_seed = 3")), max_size=1))
+    return scenario, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(case=("coefficients", "sweep.n_max = 30\n"))
+@given(case=config_cases())
+def test_cli_exit_code_contract_on_random_configs(case):
+    # Any config text ends in exit 0, 2 or 3, never in a traceback, and a
+    # failed run leaves no output directory behind.
+    scenario, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        code = main([scenario, "--config", cfg, "--out", out])
+        assert code in (0, 2, 3)
+        assert code == 0 or not os.path.exists(out)
 
 
 def test_cli_import_leaves_scipy_out():

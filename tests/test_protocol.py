@@ -232,11 +232,12 @@ def test_expansion_tables_single_segment():
     assert ca == pytest.approx([0.5, -0.5], abs=1e-12)
     assert cb == pytest.approx([0.5, 0.5], abs=1e-12)
     assert cg[1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert cg[0] == 0.0 and not np.signbit(cg[0])  # written as 0, never -0
 
 
 def test_expansion_reconstruction_matches_recursion():
     grid = np.linspace(0.0, 4 * np.pi, 50)
-    for n in range(1, 11):
+    for n in range(1, 26):
         tables = expansion_coefficients(n)
         for theta in grid:
             expected = amplitude_recursion(n, [theta] * n)[-1]

@@ -13,6 +13,7 @@ from ifdsim.pulses import (
     envelope_value,
     geometry_for_n,
     sample_waveform,
+    stretched_duration,
 )
 from ifdsim.su3 import b_pulse, beam_splitter
 
@@ -142,6 +143,20 @@ def test_duration_for_theta_table():
         duration_for_theta(-0.1)
     with pytest.raises(ValueError):
         duration_for_theta(4.01 * np.pi)
+
+
+def test_stretch_rule_array_form_matches_scalar_calls():
+    thetas = np.linspace(0.0, 4 * np.pi, 401)
+    totals = stretched_duration(thetas)
+    assert sorted(set(np.round(totals * 1e9).astype(int))) == [56, 57, 58, 59, 60, 61]
+    for theta, total in zip(thetas, totals):
+        assert duration_for_theta(theta) == (total / 4.0, total / 2.0)
+    for geo in (PulseGeometry(), PulseGeometry(b_duration=112e-9), PulseGeometry(stretch_long_pulses=False)):
+        tau, tau_c = geo.b_shape(thetas)
+        assert [(a, b) for a, b in zip(tau, tau_c)] == [geo.b_shape(t) for t in thetas]
+    for bad in (-0.1, 4.01 * np.pi, np.nan):
+        with pytest.raises(ValueError, match=r"theta must be in \[0, 4 pi\]"):
+            stretched_duration([np.pi, bad])
 
 
 def test_duration_stretch_lowers_amplitude():
