@@ -29,6 +29,15 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def assert_config_error(tmp_path, capsys, scenario, text):
+    """The CLI exits 2 with a one-line config error and writes no output directory."""
+    cfg = write(tmp_path, "bad.cfg", text)
+    out = tmp_path / "bad"
+    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
@@ -214,11 +223,7 @@ def test_cli_numeric_failure_prints_one_line(tmp_path, scenario, text):
 @pytest.mark.parametrize("text", ["model.kind = lindbladd\n", "protocol.initial = groundd\n"], ids=["kind", "initial"])
 def test_cli_misspelt_choice_exits_2(tmp_path, capsys, scenario, text):
     # These scenarios never read the two keys, so only the parser can catch a typo.
-    cfg = write(tmp_path, "typo.cfg", "sweep.n_max = 2\n" + text)
-    out = tmp_path / "typo"
-    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not out.exists()
+    assert_config_error(tmp_path, capsys, scenario, "sweep.n_max = 2\n" + text)
 
 
 @pytest.mark.parametrize(
@@ -237,19 +242,7 @@ def test_cli_misspelt_choice_exits_2(tmp_path, capsys, scenario, text):
 def test_cli_bad_n_range_exits_2(tmp_path, capsys, scenario, text):
     # Each range is checked against the scenario's own default n_max:
     # 4 for coefficients, 5 for quantized_check, 25 otherwise.
-    cfg = write(tmp_path, "range.cfg", text)
-    out = tmp_path / "range"
-    assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not out.exists()
-
-
-def test_quantized_check_honours_n_min(tmp_path):
-    cfg = write(tmp_path, "q.cfg", "sweep.n_min = 3\nsweep.n_max = 3\n")
-    out = tmp_path / "q"
-    assert main(["quantized_check", "--config", cfg, "--out", str(out)]) == 0
-    _, rows = read_csv(out / "quantized_check.csv")
-    assert len(rows) == 4 * 3 and {r[0] for r in rows} == {"3"}
+    assert_config_error(tmp_path, capsys, scenario, text)
 
 
 # Small fixed value sets per key. Sizes stay tiny wherever a dissipative
@@ -473,11 +466,13 @@ def test_coefficients_scenario(tmp_path):
 
 
 def test_quantized_check_scenario(tmp_path):
-    cfg = write(tmp_path, "q.cfg", "sweep.n_max = 3\n")
+    cfg = write(tmp_path, "q.cfg", "sweep.n_min = 3\nsweep.n_max = 3\n")
     out = tmp_path / "q"
     assert main(["quantized_check", "--config", cfg, "--out", str(out)]) == 0
     headers, rows = read_csv(out / "quantized_check.csv")
     assert headers[-1] == "abs_diff"
+    # four photon numbers by three levels, at N = 3 only: sweep.n_min is honoured
+    assert len(rows) == 4 * 3 and {r[0] for r in rows} == {"3"}
     assert max(float(r[-1]) for r in rows) < 1e-9
 
 
