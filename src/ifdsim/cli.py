@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import ConfigError, NumericToleranceError
-from .config import load_config
+from .config import load_config, parse_value
 from .scenarios import CSV_NAMES, SCENARIOS, emit_csv, emit_summary_json, run_scenario
 
 
@@ -47,21 +47,8 @@ def main(argv=None) -> int:
             config = replace(config, rng_seed=args.seed)
         if args.out is not None:
             config = replace(config, output_dir=args.out)
-        threads = args.threads
-        if threads is None:
-            env_threads = os.environ.get("IFD_SIM_THREADS", str(config.threads))
-            try:
-                threads = int(env_threads)
-            except ValueError:
-                raise ConfigError(f"IFD_SIM_THREADS must be an integer, got {env_threads!r}") from None
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        config = replace(config, threads=threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        threads = args.threads if args.threads is not None else os.environ.get("IFD_SIM_THREADS", config.threads)
+        config = replace(config, threads=parse_value("threads", threads, "--threads or IFD_SIM_THREADS: "))
         result = run_scenario(config)
         os.makedirs(config.output_dir, exist_ok=True)
         csv_path = os.path.join(config.output_dir, CSV_NAMES[config.scenario])

@@ -18,80 +18,107 @@ from .dynamics import DecoherenceModel, PRESETS
 from .protocol import MODELS
 from .pulses import PulseGeometry
 
-# Keys whose value is one of a fixed set of names.
-_CHOICES = {
-    "model.kind": MODELS,
-    "protocol.initial": ("ground", "thermal", "level1"),
-    "sweep.random_kind": ("uniform", "binary"),
-}
-
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
+
+# Sizes and counts reach numpy as int64.
+_INT_MAX = 2**63 - 1
 
 
 def _parse_bool(text: str) -> bool:
     try:
         return _BOOL[text.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
-    return value
+def _integer(least: int):
+    """Converter to an integer in [least, 2**63 - 1]."""
+
+    def convert(text) -> int:
+        value = int(text)
+        if not least <= value <= _INT_MAX:
+            raise ValueError(f"expected an integer in [{least}, 2**63 - 1], got {value}")
+        return value
+
+    return convert
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(_parse_float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+def _number(least: float = -np.inf, strict: bool = False):
+    """Converter to a finite float >= least, or > least when strict."""
+
+    def convert(text: str) -> float:
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text.strip()!r}")
+        if value < least or (strict and value == least):
+            raise ValueError(f"must be {'>' if strict else '>='} {least:g}, got {value:g}")
+        return value
+
+    return convert
 
 
-# key -> (converter, description)
+def _choice(*names: str):
+    """Converter accepting one of names."""
+
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected {'|'.join(names)}, got {text!r}")
+        return text
+
+    return convert
+
+
+_finite = _number()
+_positive = _number(0.0, strict=True)
+_non_negative = _number(0.0)
+
+
+def _finite_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite(x) for x in text.split(","))
+
+
+# key -> (converter, description). A converter is the whole rule for its
+# key: it returns the value or raises ValueError. The decoherence keys
+# override the DecoherenceModel field their name starts with.
 KNOWN_KEYS = {
     "scenario": (str, "scenario name (must match the CLI argument when both given)"),
-    "protocol.n": (int, "number of probe segments N"),
-    "protocol.thetas_pi": (_parse_float_list, "per-segment strengths in units of pi"),
-    "protocol.initial": (str, "ground | thermal | level1"),
-    "model.kind": (str, "ideal | lindblad | lindblad_depol"),
-    "decoherence.preset": (str, "sample1 | sample2"),
-    "decoherence.omega01_hz": (_parse_float, "0-1 transition frequency (plain Hz)"),
-    "decoherence.omega12_hz": (_parse_float, "1-2 transition frequency (plain Hz)"),
-    "decoherence.gamma10_hz": (_parse_float, "zero-temperature 1->0 decay rate (1/s)"),
-    "decoherence.gamma21_hz": (_parse_float, "zero-temperature 2->1 decay rate (1/s)"),
-    "decoherence.gphi10_hz": (_parse_float, "0-1 transition dephasing rate (1/s)"),
-    "decoherence.gphi21_hz": (_parse_float, "1-2 transition dephasing rate (1/s)"),
-    "decoherence.gphi02_hz": (_parse_float, "0-2 transition dephasing rate (1/s)"),
-    "decoherence.temperature_k": (_parse_float, "effective temperature (K)"),
-    "pulse.s_duration_ns": (_parse_float, "beam-splitter pulse duration"),
-    "pulse.b_duration_ns": (_parse_float, "probe pulse duration"),
-    "pulse.sampling_rate_hz": (_parse_float, "waveform sampling rate"),
+    "protocol.n": (_integer(1), "number of probe segments N"),
+    "protocol.thetas_pi": (_finite_list, "per-segment strengths in units of pi"),
+    "protocol.initial": (_choice("ground", "thermal", "level1"), "start state"),
+    "model.kind": (_choice(*MODELS), "propagation model"),
+    "decoherence.preset": (_choice(*PRESETS), "device parameter set"),
+    "decoherence.omega01_hz": (_positive, "0-1 transition frequency (plain Hz)"),
+    "decoherence.omega12_hz": (_positive, "1-2 transition frequency (plain Hz)"),
+    "decoherence.gamma10_hz": (_non_negative, "zero-temperature 1->0 decay rate (1/s)"),
+    "decoherence.gamma21_hz": (_non_negative, "zero-temperature 2->1 decay rate (1/s)"),
+    "decoherence.gphi10_hz": (_non_negative, "0-1 transition dephasing rate (1/s)"),
+    "decoherence.gphi21_hz": (_non_negative, "1-2 transition dephasing rate (1/s)"),
+    "decoherence.gphi02_hz": (_non_negative, "0-2 transition dephasing rate (1/s)"),
+    "decoherence.temperature_k": (_non_negative, "effective temperature (K)"),
+    "pulse.s_duration_ns": (_positive, "beam-splitter pulse duration"),
+    "pulse.b_duration_ns": (_positive, "probe pulse duration"),
+    "pulse.sampling_rate_hz": (_positive, "waveform sampling rate"),
     "pulse.stretch": (_parse_bool, "stretch 56 ns probe pulses above 3.38 pi"),
-    "sweep.points": (int, "grid points per strength axis"),
-    "sweep.theta_max_pi": (_parse_float, "upper end of the strength grid, units of pi"),
-    "sweep.m": (int, "realisations per protocol size"),
-    "sweep.n_min": (int, "smallest protocol size"),
-    "sweep.n_max": (int, "largest protocol size"),
-    "sweep.random_kind": (str, "uniform | binary strength sampler"),
-    "histogram.shots": (int, "number of sampled shots"),
-    "histogram.theta_pi": (_parse_float, "probe strength for the histogram, units of pi"),
+    "sweep.points": (_integer(2), "grid points per strength axis"),
+    "sweep.theta_max_pi": (_finite, "upper end of the strength grid, units of pi"),
+    "sweep.m": (_integer(1), "realisations per protocol size"),
+    "sweep.n_min": (_integer(1), "smallest protocol size"),
+    "sweep.n_max": (_integer(1), "largest protocol size"),
+    "sweep.random_kind": (_choice("uniform", "binary"), "strength sampler"),
+    "histogram.shots": (_integer(1), "number of sampled shots"),
+    "histogram.theta_pi": (_finite, "probe strength for the histogram, units of pi"),
     "rng_seed": (int, "base seed for all sampling"),
     "output_dir": (str, "directory for emitted files"),
-    "threads": (int, "accepted for compatibility, no effect; must be >= 1"),
+    "threads": (_integer(1), "accepted for compatibility, no effect"),
 }
 
-_DECOHERENCE_FIELDS = {
-    "decoherence.omega01_hz": "omega01",
-    "decoherence.omega12_hz": "omega12",
-    "decoherence.gamma10_hz": "gamma10",
-    "decoherence.gamma21_hz": "gamma21",
-    "decoherence.gphi10_hz": "gphi10",
-    "decoherence.gphi21_hz": "gphi21",
-    "decoherence.gphi02_hz": "gphi02",
-    "decoherence.temperature_k": "temperature",
-}
+
+def parse_value(key: str, text, where: str = ""):
+    """The value of a known key from its text; ConfigError if the key's converter rejects it."""
+    try:
+        return KNOWN_KEYS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for {key!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -102,29 +129,18 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
     rng_seed: int = 0
     output_dir: str = "out"
-    threads: int = 1  # validated (>= 1); no scenario reads it
+    threads: int = 1  # no scenario reads it
 
     def get(self, key: str, default=None):
         return self.raw.get(key, default)
 
     def decoherence(self, default_preset: str) -> DecoherenceModel:
-        preset = self.raw.get("decoherence.preset", default_preset)
-        if preset not in PRESETS:
-            raise ConfigError(f"decoherence.preset must be one of {sorted(PRESETS)}, got {preset!r}")
-        model = PRESETS[preset]
         overrides = {}
-        for key, fieldname in _DECOHERENCE_FIELDS.items():
-            if key in self.raw:
-                value = self.raw[key]
-                if fieldname in ("omega01", "omega12"):
-                    value = 2.0 * np.pi * value
-                overrides[fieldname] = value
-        if overrides:
-            try:
-                model = replace(model, **overrides)
-            except ValueError as exc:
-                raise ConfigError(f"decoherence: {exc}") from None
-        return model
+        for key, value in self.raw.items():
+            if key.startswith("decoherence.") and key != "decoherence.preset":
+                fieldname = key.removeprefix("decoherence.").rsplit("_", 1)[0]
+                overrides[fieldname] = 2.0 * np.pi * value if fieldname.startswith("omega") else value
+        return replace(PRESETS[self.raw.get("decoherence.preset", default_preset)], **overrides)
 
     def geometry(self, default_b_ns: float) -> PulseGeometry:
         return PulseGeometry(
@@ -160,13 +176,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        converter, _ = KNOWN_KEYS[key]
-        try:
-            raw[key] = converter(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        raw[key] = parse_value(key, value, f"line {lineno}: ")
 
     file_scenario = raw.pop("scenario", None)
     if scenario is None:
@@ -182,36 +192,20 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {tuple(SCENARIOS)}")
 
-    _validate_ranges(raw)
-    config = ExperimentConfig(
+    return ExperimentConfig(
         scenario=scenario,
         raw=raw,
         rng_seed=raw.get("rng_seed", 0),
         output_dir=raw.get("output_dir", "out"),
         threads=raw.get("threads", 1),
     )
-    config.decoherence(default_preset="sample1")  # rejects bad overrides even where no model is built
-    return config
-
-
-def _validate_ranges(raw: dict) -> None:
-    for key, least in (("sweep.m", 1), ("sweep.points", 2), ("sweep.n_min", 1), ("sweep.n_max", 1),
-                       ("protocol.n", 1), ("histogram.shots", 1), ("threads", 1)):
-        if raw.get(key, least) < least:
-            raise ConfigError(f"{key} must be >= {least}")
-    for key in ("pulse.s_duration_ns", "pulse.b_duration_ns", "pulse.sampling_rate_hz"):
-        if raw.get(key, 1.0) <= 0:
-            raise ConfigError(f"{key} must be positive")
-    for key, allowed in _CHOICES.items():
-        if key in raw and raw[key] not in allowed:
-            raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {raw[key]!r}")
 
 
 def load_config(path: str, scenario: str | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, scenario)
 

@@ -40,11 +40,12 @@ no dissipator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import NumericToleranceError
-from .pulses import SampledWaveform, grid_steps
+from .pulses import SampledWaveform, grid_steps, super_gaussian
 from .su3 import DensityMatrix, Operator3
 
 # Exact SI values since 2019: hbar = h / 2 pi and the Boltzmann constant.
@@ -453,10 +454,7 @@ def lindblad_segment_batch(
     x = rho.reshape(-1, 9)
     if np.iscomplexobj(x) and not np.any(x.imag) and not np.iscomplexobj(l_h):
         x = x.real
-
-    def envelope(t):
-        return np.exp(-0.5 * (t / tau) ** 4)
-
+    envelope = partial(super_gaussian, tau=tau)
     return _rk4_rows(x, amps, envelope, l_h, l_d, -tau_c, 2.0 * tau_c, dt).reshape(lead + (3, 3))
 
 

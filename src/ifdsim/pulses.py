@@ -45,11 +45,15 @@ class PulseEnvelope:
             raise ValueError(f"transition must be '01' or '12', got {self.transition!r}")
 
 
+def super_gaussian(t, tau: float):
+    """The untruncated shape exp(-(t/tau)^4 / 2), peak 1, elementwise over t."""
+    return np.exp(-0.5 * (t / tau) ** 4)
+
+
 def envelope_value(pulse: PulseEnvelope, t: float):
     """Drive amplitude at time t (pulse centred at t = 0), zero outside +-tau_c."""
     t = np.asarray(t, dtype=float)
-    shape = np.exp(-0.5 * (t / pulse.tau) ** 4)
-    return pulse.omega0 * np.where(np.abs(t) <= pulse.tau_c, shape, 0.0)
+    return pulse.omega0 * np.where(np.abs(t) <= pulse.tau_c, super_gaussian(t, pulse.tau), 0.0)
 
 
 def effective_area(tau: float, tau_c: float, dt: float | None = None) -> float:
@@ -72,7 +76,7 @@ def effective_area(tau: float, tau_c: float, dt: float | None = None) -> float:
         raise ValueError(f"dt={dt} too coarse for tau={tau} (need dt <= tau/100)")
     n = int(np.ceil(2 * tau_c / dt))
     ts = np.linspace(-tau_c, tau_c, n + 1)
-    return float(np.trapezoid(np.exp(-0.5 * (ts / tau) ** 4), ts))
+    return float(np.trapezoid(super_gaussian(ts, tau), ts))
 
 
 def amplitude_for_bpulse(theta: float, area: float) -> float:
@@ -145,7 +149,9 @@ def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLIN
 
     A pulse that lasts a whole number of generator periods is sampled at
     the generator rate; otherwise the step shrinks to the longest one
-    below 1 / rate that divides 2 tau_c.
+    below 1 / rate that divides 2 tau_c. The grid spans the pulse by
+    construction, so the shape is evaluated untruncated: a last time that
+    rounds past tau_c keeps its sample instead of dropping to zero.
     """
     if sampling_rate <= 0:
         raise ValueError("sampling_rate must be positive")
@@ -159,7 +165,7 @@ def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLIN
     ts = -pulse.tau_c + dt * np.arange(n_intervals + 1)
     return SampledWaveform(
         dt=dt,
-        samples=np.asarray(envelope_value(pulse, ts), dtype=float),
+        samples=pulse.omega0 * super_gaussian(ts, pulse.tau),
         phase=pulse.phase,
         transition=pulse.transition,
     )

@@ -131,8 +131,13 @@ def coupling_unitary(g: float, t_b: float, n_max: int) -> np.ndarray:
     return _exchange_unitary(g, t_b, (n_max + 1,), 0)
 
 
-def _splitter_on_composite(n_segments: int, field_dim: int) -> np.ndarray:
-    return np.kron(np.eye(field_dim), beam_splitter(n_segments))
+def _run_sequence(psi: np.ndarray, probes) -> np.ndarray:
+    """S, then (U, S) for each probe unitary U, on a field x qutrit vector (qutrit index fastest)."""
+    s = np.kron(np.eye(len(psi) // 3), beam_splitter(len(probes)))
+    psi = s @ psi
+    for u in probes:
+        psi = s @ (u @ psi)
+    return psi
 
 
 def run_single_mode(
@@ -154,11 +159,7 @@ def run_single_mode(
     dim = n_max + 1
     psi = np.zeros(dim * 3, dtype=complex)
     psi[n_photons * 3 + 0] = 1.0
-    s = _splitter_on_composite(n_segments, dim)
-    u = coupling_unitary(coupling.g, coupling.t_b, n_max)
-    psi = s @ psi
-    for _ in range(n_segments):
-        psi = s @ (u @ psi)
+    psi = _run_sequence(psi, [coupling_unitary(coupling.g, coupling.t_b, n_max)] * n_segments)
     state = CompositeState(psi.reshape(dim, 3), (dim,))
     if state.truncation_leakage() > 1e-8:
         raise ValueError("truncation leakage above 1e-8; increase n_max")
@@ -189,12 +190,9 @@ def run_two_mode(
     dims = (n_max + 1, n_max + 1)  # (mode-b, mode-a)
     psi = np.zeros(dims[0] * dims[1] * 3, dtype=complex)
     psi[(m_photons * dims[1] + n_photons) * 3 + 0] = 1.0
-    s = _splitter_on_composite(2, dims[0] * dims[1])
     u_first = _exchange_unitary(g1, t_b1, dims, mode=1)  # mode-a (n photons)
     u_second = _exchange_unitary(g2, t_b2, dims, mode=0)  # mode-b (m photons)
-    psi = s @ psi
-    psi = s @ (u_first @ psi)
-    psi = s @ (u_second @ psi)
+    psi = _run_sequence(psi, [u_first, u_second])
     state = CompositeState(psi.reshape(dims[0], dims[1], 3), dims)
     if state.truncation_leakage() > 1e-8:
         raise ValueError("truncation leakage above 1e-8; increase n_max")
@@ -223,9 +221,5 @@ def run_qubit_probe(
     psi = np.zeros(2 * 3, dtype=complex)
     psi[0 * 3 + target_initial] = alpha
     psi[1 * 3 + target_initial] = beta
-    s = _splitter_on_composite(n_segments, 2)
-    u = coupling_unitary(theta_single, 1.0, n_max=1)
-    psi = s @ psi
-    for _ in range(n_segments):
-        psi = s @ (u @ psi)
+    psi = _run_sequence(psi, [coupling_unitary(theta_single, 1.0, n_max=1)] * n_segments)
     return CompositeState(psi.reshape(2, 3), (2,))

@@ -85,10 +85,7 @@ def emit_summary_json(result: SweepResult, path: str) -> None:
 def run_scenario(config: ExperimentConfig) -> SweepResult:
     runner, _ = SCENARIOS[config.scenario]
     result = runner(config)
-    result.config_echo = dict(sorted(config.raw.items(), key=lambda kv: kv[0]))
-    result.config_echo = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in result.config_echo.items()
-    }
+    result.config_echo = dict(config.raw)
     result.rng_seed = config.rng_seed
     return result
 

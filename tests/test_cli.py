@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,13 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 import ifdsim
 from ifdsim import ConfigError, NumericToleranceError, protocol, scenarios
 from ifdsim.cli import build_parser, main
-from ifdsim.config import load_config, parse_config_text, point_seed
+from ifdsim.config import KNOWN_KEYS, load_config, parse_config_text, point_seed
 from ifdsim.scenarios import CSV_NAMES, SCENARIOS, run_scenario
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -245,11 +246,45 @@ def test_cli_bad_n_range_exits_2(tmp_path, capsys, scenario, text):
     assert_config_error(tmp_path, capsys, scenario, text)
 
 
+_TOO_BIG = "100000000000000000000"  # above 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "scenario, text",
+    [
+        ("n1_sweep", "# r\u00e9glage du balayage\nsweep.points = 3\n"),
+        ("histogram", f"histogram.shots = {_TOO_BIG}\n"),
+        ("multi_random", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n"),
+        ("multi_identical", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n"),
+        ("n1_sweep", f"sweep.points = {_TOO_BIG}\n"),
+        ("histogram", f"protocol.n = {_TOO_BIG}\n"),
+    ],
+    ids=["non_ascii_comment", "histogram_shots", "multi_random_m", "multi_identical_m", "n1_points",
+         "histogram_n"],
+)
+def test_cli_unreadable_file_or_oversized_integer_exits_2(tmp_path, capsys, scenario, text):
+    # A config file must be ASCII, and integer keys stop at 2**63 - 1
+    # (rng_seed is hashed, so it has no upper bound).
+    assert_config_error(tmp_path, capsys, scenario, text)
+
+
+def test_readme_config_table_lists_every_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Config reference", 1)[1]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+        elif keys and not line.startswith("|"):
+            break
+    assert keys == set(KNOWN_KEYS)
+
+
 # Small fixed value sets per key. Sizes stay tiny wherever a dissipative
 # model may run: the multi sweeps always get sweep.m and an n_max of at
 # most 3, n2_map always gets sweep.points and majorana_trajectory
 # protocol.n, so an example takes at most a few tenths of a second.
-_INT_EDGE = ("0", "-1", "2.5", "abc")
+_INT_EDGE = ("0", "-1", "2.5", "abc", _TOO_BIG)
 _FLOAT_EDGE = ("0", "-1", "nan", "inf", "")
 _FUZZ_VALUES = {
     "sweep.points": ("2", "3") + _INT_EDGE,

@@ -120,7 +120,9 @@ def test_sample_waveform_keeps_the_generator_step():
         wf = sample_waveform(p, sampling_rate=1e9)
         assert wf.dt == 1e-9
         ts = -p.tau_c + 1e-9 * np.arange(len(wf.samples))
-        assert np.array_equal(wf.samples, envelope_value(p, ts))
+        assert np.array_equal(wf.samples[1:-1], envelope_value(p, ts[1:-1]))
+        # The last grid time rounds past tau_c; its sample is kept, not zeroed.
+        assert wf.samples[-1] == pytest.approx(wf.samples[0], rel=1e-12)
 
 
 def test_waveform_interpolation():
