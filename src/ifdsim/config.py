@@ -20,9 +20,6 @@ from .pulses import PulseGeometry
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False}
 
-# Sizes and counts reach numpy as int64.
-_INT_MAX = 2**63 - 1
-
 
 def _parse_bool(text: str) -> bool:
     try:
@@ -31,13 +28,18 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def _integer(least: int):
-    """Converter to an integer in [least, 2**63 - 1]."""
+def _integer(least: int, bits: int = 63):
+    """Converter to an integer in [least, 2**bits - 1].
+
+    Integers reach numpy as int64. A size counts float64 values, and
+    numpy cannot represent more than (2**63 - 1) // 8 = 2**60 - 1 of
+    them, so sizes take bits = 60.
+    """
 
     def convert(text) -> int:
         value = int(text)
-        if not least <= value <= _INT_MAX:
-            raise ValueError(f"expected an integer in [{least}, 2**63 - 1], got {value}")
+        if not least <= value < 2**bits:
+            raise ValueError(f"expected an integer in [{least}, 2**{bits} - 1], got {value}")
         return value
 
     return convert
@@ -82,7 +84,7 @@ def _finite_list(text: str) -> tuple[float, ...]:
 # override the DecoherenceModel field their name starts with.
 KNOWN_KEYS = {
     "scenario": (str, "scenario name (must match the CLI argument when both given)"),
-    "protocol.n": (_integer(1), "number of probe segments N"),
+    "protocol.n": (_integer(1, 60), "number of probe segments N"),
     "protocol.thetas_pi": (_finite_list, "per-segment strengths in units of pi"),
     "protocol.initial": (_choice("ground", "thermal", "level1"), "start state"),
     "model.kind": (_choice(*MODELS), "propagation model"),
@@ -99,11 +101,11 @@ KNOWN_KEYS = {
     "pulse.b_duration_ns": (_positive, "probe pulse duration"),
     "pulse.sampling_rate_hz": (_positive, "waveform sampling rate"),
     "pulse.stretch": (_parse_bool, "stretch 56 ns probe pulses above 3.38 pi"),
-    "sweep.points": (_integer(2), "grid points per strength axis"),
+    "sweep.points": (_integer(2, 60), "grid points per strength axis"),
     "sweep.theta_max_pi": (_finite, "upper end of the strength grid, units of pi"),
-    "sweep.m": (_integer(1), "realisations per protocol size"),
-    "sweep.n_min": (_integer(1), "smallest protocol size"),
-    "sweep.n_max": (_integer(1), "largest protocol size"),
+    "sweep.m": (_integer(1, 60), "realisations per protocol size"),
+    "sweep.n_min": (_integer(1, 60), "smallest protocol size"),
+    "sweep.n_max": (_integer(1, 60), "largest protocol size"),
     "sweep.random_kind": (_choice("uniform", "binary"), "strength sampler"),
     "histogram.shots": (_integer(1), "number of sampled shots"),
     "histogram.theta_pi": (_finite, "probe strength for the histogram, units of pi"),

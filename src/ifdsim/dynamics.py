@@ -26,10 +26,12 @@ envelope e(t), plus the constant dissipator L_D (:func:`liouvillian`).
 At the default drive phase -pi/2 the generator G is imaginary, so L_H is
 real, and L_D is always real; thermal, ground and level-1 starts are real
 too, so RK4 runs in real arithmetic. Complex states and other phases go
-through the same code in complex arithmetic. Every beam splitter of a
-protocol is the same linear map, so
-:func:`ifdsim.protocol.dissipative_sweep` integrates it once per sweep as
-a 9 x 9 matrix and applies it with one matmul.
+through the same code in complex arithmetic. Every segment is a linear
+map on vec(rho), so :func:`ifdsim.protocol.dissipative_sweep` integrates
+only the 9 basis matrices: the beam splitter once per sweep as a 9 x 9
+matrix, and each probe shape at a few Chebyshev nodes of the amplitude
+per substep group (:func:`substep_counts`), from which every row's map
+is interpolated.
 
 The same RK4 loop also runs the sampled-waveform propagators:
 :func:`propagate_lindblad` on the same superoperators, and
@@ -308,20 +310,33 @@ def drive_generator(transition: str, phase: float = -np.pi / 2) -> Operator3:
     return 0.5 * (np.exp(1j * phase) * base + np.exp(-1j * phase) * base.conj().T)
 
 
+def substep_counts(amps, span: float, dt: float) -> tuple[np.ndarray, float]:
+    """RK4 substeps per base step for each amplitude over span, and the group width w.
+
+    The span is cut into grid_steps(span, dt) base steps of length h, and
+    amplitude a takes g = max(1, ceil(a h / MAX_PHASE_PER_STEP)) substeps
+    of each. Substep group g therefore holds the amplitudes in
+    ((g - 1) w, g w], w = MAX_PHASE_PER_STEP / h, and group 1 also a = 0.
+    """
+    base_step = span / grid_steps(span, dt)
+    counts = np.maximum(1, np.ceil(np.asarray(amps, dtype=float) * base_step / MAX_PHASE_PER_STEP)).astype(int)
+    return counts, MAX_PHASE_PER_STEP / base_step
+
+
 def _rk4_rows(x, amps, envelope, l_h, l_d, t0: float, span: float, dt: float) -> np.ndarray:
     """RK4 on dy/dt = (a e(t) L_H + L_D) y for every row y of x, over [t0, t0 + span].
 
     x has shape (rows, d), amps holds each row's amplitude a, and
     envelope is e(t) with peak 1, vectorised over t. The span is cut into
     grid_steps(span, dt) equal base steps, each split into the substeps
-    the row's amplitude needs; rows are integrated in substep groups, so
-    each result is independent of how the batch is composed. The result
-    has the common dtype of x, L_H and L_D.
+    the row's amplitude needs (:func:`substep_counts`); rows are
+    integrated in substep groups, so each result is independent of how
+    the batch is composed. The result has the common dtype of x, L_H and
+    L_D.
     """
     dtype = np.result_type(x, l_h, l_d)
     l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
     n_base = grid_steps(span, dt)
-    base_step = span / n_base
 
     def rhs(y, drive):
         # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
@@ -331,7 +346,7 @@ def _rk4_rows(x, amps, envelope, l_h, l_d, t0: float, span: float, dt: float) ->
         return k
 
     out = np.empty_like(x, dtype=dtype)
-    subcounts = np.array([max(1, int(np.ceil(a * base_step / MAX_PHASE_PER_STEP))) for a in amps], dtype=int)
+    subcounts, _ = substep_counts(amps, span, dt)
     for n_sub in np.unique(subcounts):
         rows = subcounts == n_sub
         n_steps = n_base * int(n_sub)

@@ -19,11 +19,13 @@ import numpy as np
 
 from .dynamics import (
     DecoherenceModel,
+    ThermalRates,
     apply_depolarizing,
     check_density_batch,
     epsilon_for_theta,
     lindblad_segment_batch,
     operator_distance_2norm,
+    substep_counts,
     thermal_rates,
     thermal_state,
 )
@@ -32,6 +34,9 @@ from .su3 import DensityMatrix, Operator3, PureState, b_pulse, beam_splitter
 
 MODELS = ("ideal", "lindblad", "lindblad_depol")
 EXPANSION_MAX_N = 25  # largest N of the expansion_coefficients tables
+# Chebyshev nodes per substep group of a probe map: 16 interpolate every
+# probe shape to rounding level (12 leave errors up to 3.4e-11).
+CHEBYSHEV_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,75 @@ def run_coherent_ideal(spec: ProtocolSpec) -> OutcomeProbabilities:
 # Dissipative protocol runner
 # ---------------------------------------------------------------------------
 
+def probe_map_coefficients(
+    groups, width: float, tau: float, tau_c: float, rates: ThermalRates, dt: float, phase: float = -np.pi / 2
+) -> np.ndarray:
+    """Chebyshev coefficients in the amplitude of a probe's map on vec(rho), per substep group.
+
+    In substep group g (:func:`ifdsim.dynamics.substep_counts`, group
+    width `width`) the RK4 map of the probe of shape (tau, tau_c) is a
+    polynomial in the amplitude a, smooth enough that CHEBYSHEV_NODES
+    Chebyshev points of ((g - 1) w, g w] interpolate it to rounding
+    level (Trefethen, Approximation Theory and Approximation Practice,
+    2013). The 9 basis matrices at every node of every group run through
+    one :func:`lindblad_segment_batch` call. Returns shape
+    (len(groups), CHEBYSHEV_NODES, 9, 9): entry [i, j] is the
+    coefficient of T_j in group groups[i], row k of each the image of
+    the k-th basis matrix.
+    """
+    angles = np.pi * (np.arange(CHEBYSHEV_NODES) + 0.5) / CHEBYSHEV_NODES
+    centres = (np.asarray(groups, dtype=float) - 0.5) * width
+    nodes = (centres[:, None] + 0.5 * width * np.cos(angles)).ravel()
+    basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(nodes), 9, 3, 3))
+    maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, tau_c, rates, dt, phase)
+    # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
+    transform = (2.0 / CHEBYSHEV_NODES) * np.cos(np.outer(np.arange(CHEBYSHEV_NODES), angles))
+    transform[0] *= 0.5
+    return np.einsum("jk,gkab->gjab", transform, maps.reshape(len(groups), CHEBYSHEV_NODES, 9, 9))
+
+
+class ProbeMaps:
+    """The probe segments of one sweep as interpolated 9 x 9 maps on vec(rho).
+
+    Coefficient tables are keyed by (probe shape, substep group) and
+    built by :func:`probe_map_coefficients` the first time a key
+    appears. Each row is then mapped by Clenshaw's recurrence in its
+    amplitude, on (rows, 9) arrays.
+    """
+
+    def __init__(self, rates: ThermalRates, dt: float, phase: float = -np.pi / 2):
+        self.rates, self.dt, self.phase = rates, dt, phase
+        self._tables = {}
+
+    def apply(self, rho: np.ndarray, amps: np.ndarray, tau: float, tau_c: float) -> np.ndarray:
+        """Rows of vec(rho), shape (rows, 9), through the probe of shape (tau, tau_c) at amplitudes amps."""
+        groups, width = substep_counts(amps, 2.0 * tau_c, self.dt)
+        present = np.unique(groups)
+        missing = [g for g in present if (tau, tau_c, g) not in self._tables]
+        if missing:
+            tables = probe_map_coefficients(missing, width, tau, tau_c, self.rates, self.dt, self.phase)
+            self._tables.update({(tau, tau_c, g): table for g, table in zip(missing, tables)})
+        out = np.empty(rho.shape, dtype=np.result_type(rho, *(self._tables[tau, tau_c, g] for g in present)))
+        for g in present:
+            rows = groups == g
+            # each amplitude's place in its group's interval, mapped to [-1, 1]
+            x = 2.0 * (amps[rows, None] / width - (g - 0.5))
+            out[rows] = _clenshaw(rho[rows], x, self._tables[tau, tau_c, g])
+        return out
+
+
+def _clenshaw(v: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j T_j(x) (v @ coeffs[j]) for rows v and each row's x, by Clenshaw's recurrence."""
+    # A non-finite table or row propagates without a warning; the
+    # caller's check reports the row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = v @ coeffs[-1]
+        b2 = np.zeros_like(b1)
+        for c in coeffs[-2:0:-1]:
+            b1, b2 = v @ c + 2.0 * x * b1 - b2, b1
+        return v @ coeffs[0] + x * b1 - b2
+
+
 def dissipative_sweep(
     thetas: np.ndarray,
     n_segments: int,
@@ -190,10 +264,11 @@ def dissipative_sweep(
     thetas has shape (batch, n_segments); every row is one realisation.
     The beam-splitter segment is the same for every row and every
     position, so its 9 x 9 map on vec(rho) is integrated once and applied
-    as one matmul. Probe segments whose strength differs only in
-    amplitude share the RK4 grid, so the whole batch advances segment by
-    segment. After every segment each row is checked to be a density
-    matrix (:func:`check_density_batch`). Returns the final density
+    as one matmul. A probe segment's map depends only on its shape and
+    amplitude; :class:`ProbeMaps` interpolates it in the amplitude from a
+    few maps per shape and substep group, built once per sweep. After
+    every segment each row is checked to be a density matrix
+    (:func:`check_density_batch`). Returns the final density
     matrices with shape (batch, 3, 3), real when the initial state is;
     with collect_checkpoints=True also a list of per-checkpoint copies
     (initial state plus one entry per applied pulse, 2 N + 2 in total).
@@ -231,16 +306,20 @@ def dissipative_sweep(
         finish_segment(f"beam splitter {j + 1} of {n_segments + 1}")
 
     run_s(0)
+    probes = ProbeMaps(rates, dt)
     for j in range(n_segments):
         col = thetas[:, j]
         # Group rows by probe-pulse shape; the 56 ns family stretches at
         # large theta, changing tau and the calibration area.
         shapes = np.stack(geo.b_shape(col), axis=1)
+        vec = rho.reshape(batch, 9)
+        out = np.empty_like(vec)
         for shape in np.unique(shapes, axis=0):
             mask = np.all(shapes == shape, axis=1)
             tau, tau_c = shape
             amps = amplitude_for_bpulse(col[mask], effective_area(tau, tau_c))
-            rho[mask] = lindblad_segment_batch(rho[mask], amps, "12", tau, tau_c, rates, dt)
+            out[mask] = probes.apply(vec[mask], amps, tau, tau_c)
+        rho = out.reshape(batch, 3, 3)
         if depolarize:
             rho = apply_depolarizing(rho, epsilon_for_theta(col))
         finish_segment(f"probe {j + 1} of {n_segments}")

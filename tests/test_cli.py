@@ -35,8 +35,10 @@ def assert_config_error(tmp_path, capsys, scenario, text):
     cfg = write(tmp_path, "bad.cfg", text)
     out = tmp_path / "bad"
     assert main([scenario, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
     assert not out.exists()
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +249,39 @@ def test_cli_bad_n_range_exits_2(tmp_path, capsys, scenario, text):
 
 
 _TOO_BIG = "100000000000000000000"  # above 2**63 - 1
+# 2**62 float64 values: more than numpy can represent, so it would reject
+# them before allocating anything.
+_UNREPRESENTABLE = str(2**62)
 
 
 @pytest.mark.parametrize(
-    "scenario, text",
+    "scenario, text, key",
     [
-        ("n1_sweep", "# r\u00e9glage du balayage\nsweep.points = 3\n"),
-        ("histogram", f"histogram.shots = {_TOO_BIG}\n"),
-        ("multi_random", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n"),
-        ("multi_identical", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n"),
-        ("n1_sweep", f"sweep.points = {_TOO_BIG}\n"),
-        ("histogram", f"protocol.n = {_TOO_BIG}\n"),
+        ("n1_sweep", "# r\u00e9glage du balayage\nsweep.points = 3\n", None),
+        ("histogram", f"histogram.shots = {_TOO_BIG}\n", "histogram.shots"),
+        ("multi_random", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n", "sweep.m"),
+        ("multi_identical", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n", "sweep.m"),
+        ("n1_sweep", f"sweep.points = {_TOO_BIG}\n", "sweep.points"),
+        ("histogram", f"protocol.n = {_TOO_BIG}\n", "protocol.n"),
+        ("n1_sweep", f"sweep.points = {_UNREPRESENTABLE}\n", "sweep.points"),
+        ("n2_map", f"sweep.points = {_UNREPRESENTABLE}\n", "sweep.points"),
+        ("multi_identical", f"sweep.m = {_UNREPRESENTABLE}\n", "sweep.m"),
+        ("multi_random", f"sweep.m = {_UNREPRESENTABLE}\n", "sweep.m"),
+        ("majorana_trajectory", f"protocol.n = {_UNREPRESENTABLE}\n", "protocol.n"),
+        ("projective_compare", f"sweep.n_min = {_UNREPRESENTABLE}\nsweep.n_max = {_UNREPRESENTABLE}\n", "sweep.n_min"),
     ],
     ids=["non_ascii_comment", "histogram_shots", "multi_random_m", "multi_identical_m", "n1_points",
-         "histogram_n"],
+         "histogram_n", "n1_points_unrepresentable", "n2_points_unrepresentable",
+         "multi_identical_m_unrepresentable", "multi_random_m_unrepresentable", "majorana_n_unrepresentable",
+         "compare_n_unrepresentable"],
 )
-def test_cli_unreadable_file_or_oversized_integer_exits_2(tmp_path, capsys, scenario, text):
+def test_cli_unreadable_file_or_oversized_integer_exits_2(tmp_path, capsys, scenario, text, key):
     # A config file must be ASCII, and integer keys stop at 2**63 - 1
-    # (rng_seed is hashed, so it has no upper bound).
-    assert_config_error(tmp_path, capsys, scenario, text)
+    # (rng_seed is hashed, so it has no upper bound); sizes stop at
+    # 2**60 - 1, the most float64 values numpy can represent.
+    err = assert_config_error(tmp_path, capsys, scenario, text)
+    if key is not None:
+        assert f"'{key}'" in err
 
 
 def test_readme_config_table_lists_every_key():

@@ -24,10 +24,12 @@ from ifdsim.dynamics import (
     per_level_dephasing,
     propagate_lindblad,
     propagate_schrodinger,
+    substep_counts,
     thermal_rates,
     thermal_state,
 )
-from ifdsim.protocol import dissipative_sweep
+from ifdsim import protocol
+from ifdsim.protocol import ProbeMaps, dissipative_sweep
 from ifdsim.pulses import PulseEnvelope, PulseGeometry, effective_area, sample_waveform
 from ifdsim.su3 import DensityMatrix, PureState, b_pulse, beam_splitter, subspace_pauli
 
@@ -426,6 +428,48 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
         reference = lindblad_segment_batch(rho0, amp, transition, TAU, TAU_C, rates, dt=1e-9)
         other = lindblad_segment_batch(rho0, amp, transition, TAU, TAU_C, rates, dt=1.0 / rate)
         assert np.max(np.abs(other - reference)) < 1e-6
+
+
+@pytest.mark.parametrize("duration_ns", [56, 61, 112])
+@pytest.mark.parametrize("phase", [-np.pi / 2, 0.3], ids=["real", "phase0.3"])
+@given(
+    model=st.sampled_from([SAMPLE_1, SAMPLE_2]),
+    fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=2, deadline=None, derandomize=True)
+def test_interpolated_probe_map_matches_segment(duration_ns, phase, model, fraction, seed):
+    # Every substep group a probe of this shape reaches up to 4 pi: each
+    # group's top edge g w, the next float above (g - 1) w and a drawn
+    # interior point, plus a = 0.
+    tau, tau_c = duration_ns * 1e-9 / 4, duration_ns * 1e-9 / 2
+    (top,), width = substep_counts([4 * np.pi / effective_area(tau, tau_c)], 2 * tau_c, 1e-9)
+    groups = np.arange(1, top + 1)
+    amps = np.concatenate(
+        [[0.0], groups * width, np.nextafter((groups - 1) * width, np.inf), (groups - 1 + fraction) * width]
+    )
+    complex_ = phase != -np.pi / 2
+    rho = np.array([random_hermitian_density(seed + i, complex_) for i in range(len(amps))])
+    rates = thermal_rates(model)
+    direct = lindblad_segment_batch(rho, amps, "12", tau, tau_c, rates, phase=phase)
+    mapped = ProbeMaps(rates, 1e-9, phase).apply(rho.reshape(-1, 9), amps, tau, tau_c).reshape(-1, 3, 3)
+    assert np.iscomplexobj(mapped) == complex_
+    assert np.max(np.abs(mapped - direct)) <= 1e-13
+
+
+def test_non_finite_probe_map_is_reported_by_row(monkeypatch):
+    build = protocol.probe_map_coefficients
+
+    def broken_second_group(groups, *args, **kwargs):
+        tables = build(groups, *args, **kwargs)
+        tables[list(groups).index(2), 0, 4, 4] = np.nan
+        return tables
+
+    monkeypatch.setattr(protocol, "probe_map_coefficients", broken_second_group)
+    # At 112 ns a pi probe takes two substeps per base step, 0.3 pi one.
+    thetas = np.pi * np.array([[0.3, 0.3], [1.0, 0.3], [0.3, 1.0]])
+    with pytest.raises(NumericToleranceError, match=r"^probe 1 of 2, row 1: non-finite density matrix$"):
+        dissipative_sweep(thetas, 2, SAMPLE_2, geometry=PulseGeometry(b_duration=112e-9))
 
 
 def test_density_guard_names_row():
