@@ -31,9 +31,10 @@ def _parse_bool(text: str) -> bool:
 def _integer(least: int, bits: int = 63):
     """Converter to an integer in [least, 2**bits - 1].
 
-    Integers reach numpy as int64. A size counts float64 values, and
-    numpy cannot represent more than (2**63 - 1) // 8 = 2**60 - 1 of
-    them, so sizes take bits = 60.
+    Integers reach numpy as int64. A key whose value is itself an array
+    length takes bits = 60: numpy cannot represent more than
+    (2**63 - 1) // 8 = 2**60 - 1 float64 values. The bound does not
+    cover products of sizes: `n2_map` makes sweep.points**2 values.
     """
 
     def convert(text) -> int:

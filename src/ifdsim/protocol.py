@@ -13,6 +13,7 @@ instead, collapsing the surviving branch.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,32 +210,52 @@ def probe_map_coefficients(
 
 
 class ProbeMaps:
-    """The probe segments of one sweep as interpolated 9 x 9 maps on vec(rho).
+    """The probe segments of one sweep as 9 x 9 maps on vec(rho).
 
+    segments lists every (tau, tau_c, amplitudes) the sweep will apply.
     Coefficient tables are keyed by (probe shape, substep group) and
     built by :func:`probe_map_coefficients` the first time a key
-    appears. Each row is then mapped by Clenshaw's recurrence in its
-    amplitude, on (rows, 9) arrays.
+    appears; each row is then mapped by Clenshaw's recurrence in its
+    amplitude, on (rows, 9) arrays. A key that only one segment uses,
+    with fewer rows than the 9 CHEBYSHEV_NODES basis rows its table
+    would integrate, is integrated directly instead: that one call costs
+    less than the call that builds the table.
     """
 
-    def __init__(self, rates: ThermalRates, dt: float, phase: float = -np.pi / 2):
+    def __init__(self, rates: ThermalRates, dt: float, phase: float = -np.pi / 2, segments=()):
         self.rates, self.dt, self.phase = rates, dt, phase
         self._tables = {}
+        uses, row_counts = Counter(), Counter()
+        for tau, tau_c, amps in segments:
+            groups, counts = np.unique(substep_counts(amps, 2.0 * tau_c, dt)[0], return_counts=True)
+            for g, count in zip(groups, counts):
+                uses[tau, tau_c, g] += 1
+                row_counts[tau, tau_c, g] += count
+        self._direct = {key for key in uses if uses[key] == 1 and row_counts[key] < 9 * CHEBYSHEV_NODES}
 
     def apply(self, rho: np.ndarray, amps: np.ndarray, tau: float, tau_c: float) -> np.ndarray:
         """Rows of vec(rho), shape (rows, 9), through the probe of shape (tau, tau_c) at amplitudes amps."""
         groups, width = substep_counts(amps, 2.0 * tau_c, self.dt)
         present = np.unique(groups)
-        missing = [g for g in present if (tau, tau_c, g) not in self._tables]
+        tabulated = [g for g in present if (tau, tau_c, g) not in self._direct]
+        missing = [g for g in tabulated if (tau, tau_c, g) not in self._tables]
         if missing:
             tables = probe_map_coefficients(missing, width, tau, tau_c, self.rates, self.dt, self.phase)
             self._tables.update({(tau, tau_c, g): table for g, table in zip(missing, tables)})
-        out = np.empty(rho.shape, dtype=np.result_type(rho, *(self._tables[tau, tau_c, g] for g in present)))
-        for g in present:
+        pieces = []
+        direct = ~np.isin(groups, tabulated)
+        if np.any(direct):
+            start = rho[direct].reshape(-1, 3, 3)
+            mapped = lindblad_segment_batch(start, amps[direct], "12", tau, tau_c, self.rates, self.dt, self.phase)
+            pieces.append((direct, mapped.reshape(-1, 9)))
+        for g in tabulated:
             rows = groups == g
             # each amplitude's place in its group's interval, mapped to [-1, 1]
             x = 2.0 * (amps[rows, None] / width - (g - 0.5))
-            out[rows] = _clenshaw(rho[rows], x, self._tables[tau, tau_c, g])
+            pieces.append((rows, _clenshaw(rho[rows], x, self._tables[tau, tau_c, g])))
+        out = np.empty(rho.shape, dtype=np.result_type(rho, *(piece for _, piece in pieces)))
+        for rows, piece in pieces:
+            out[rows] = piece
         return out
 
 
@@ -261,7 +282,8 @@ def dissipative_sweep(
 ):
     """Propagate a batch of protocols through the Lindblad master equation.
 
-    thetas has shape (batch, n_segments); every row is one realisation.
+    thetas has shape (batch, n_segments); every row is one realisation,
+    and a negative theta raises ValueError.
     The beam-splitter segment is the same for every row and every
     position, so its 9 x 9 map on vec(rho) is integrated once and applied
     as one matmul. A probe segment's map depends only on its shape and
@@ -277,6 +299,9 @@ def dissipative_sweep(
     batch = thetas.shape[0]
     if thetas.shape[1] != n_segments:
         raise ValueError(f"thetas must have {n_segments} columns")
+    # Each substep group's table is fitted on non-negative amplitudes only.
+    if np.any(thetas < 0):
+        raise ValueError(f"theta must be non-negative, got {thetas[thetas < 0].flat[0]}")
     geo = geometry or geometry_for_n(n_segments)
     rates = thermal_rates(model)
     dt = 1.0 / geo.sampling_rate
@@ -305,23 +330,28 @@ def dissipative_sweep(
         rho = (rho.reshape(batch, 9) @ s_map).reshape(batch, 3, 3)
         finish_segment(f"beam splitter {j + 1} of {n_segments + 1}")
 
-    run_s(0)
-    probes = ProbeMaps(rates, dt)
-    for j in range(n_segments):
-        col = thetas[:, j]
-        # Group rows by probe-pulse shape; the 56 ns family stretches at
-        # large theta, changing tau and the calibration area.
+    # Per probe position, the rows of each probe-pulse shape and their
+    # amplitudes; the 56 ns family stretches at large theta, changing tau
+    # and the calibration area.
+    columns = []
+    for col in thetas.T:
         shapes = np.stack(geo.b_shape(col), axis=1)
+        segments = []
+        for tau, tau_c in np.unique(shapes, axis=0):
+            rows = np.flatnonzero(np.all(shapes == (tau, tau_c), axis=1))
+            segments.append((rows, tau, tau_c, amplitude_for_bpulse(col[rows], effective_area(tau, tau_c))))
+        columns.append(segments)
+    probes = ProbeMaps(rates, dt, segments=[segment[1:] for segments in columns for segment in segments])
+
+    run_s(0)
+    for j, segments in enumerate(columns):
         vec = rho.reshape(batch, 9)
         out = np.empty_like(vec)
-        for shape in np.unique(shapes, axis=0):
-            mask = np.all(shapes == shape, axis=1)
-            tau, tau_c = shape
-            amps = amplitude_for_bpulse(col[mask], effective_area(tau, tau_c))
-            out[mask] = probes.apply(vec[mask], amps, tau, tau_c)
+        for rows, tau, tau_c, amps in segments:
+            out[rows] = probes.apply(vec[rows], amps, tau, tau_c)
         rho = out.reshape(batch, 3, 3)
         if depolarize:
-            rho = apply_depolarizing(rho, epsilon_for_theta(col))
+            rho = apply_depolarizing(rho, epsilon_for_theta(thetas[:, j]))
         finish_segment(f"probe {j + 1} of {n_segments}")
         run_s(j + 1)
 

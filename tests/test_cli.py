@@ -386,9 +386,11 @@ def test_cli_import_leaves_scipy_out():
         "model.kind = lindblad\ndecoherence.temperature_k = -1\n",
         "protocol.thetas_pi = 1,inf\n",
         "pulse.sampling_rate_hz = 0\n",
+        "model.kind = lindblad\nsweep.theta_max_pi = -1\n",
     ],
     ids=["stretch_out_of_range", "nan_theta", "negative_temperature_ideal",
-         "negative_temperature_lindblad", "infinite_theta_list", "zero_sampling_rate"],
+         "negative_temperature_lindblad", "infinite_theta_list", "zero_sampling_rate",
+         "negative_theta_lindblad"],
 )
 def test_cli_out_of_domain_values_exit_2(tmp_path, capsys, text):
     cfg = write(tmp_path, "bad.cfg", "sweep.points = 3\n" + text)

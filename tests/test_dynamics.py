@@ -472,6 +472,31 @@ def test_non_finite_probe_map_is_reported_by_row(monkeypatch):
         dissipative_sweep(thetas, 2, SAMPLE_2, geometry=PulseGeometry(b_duration=112e-9))
 
 
+def test_probe_key_used_once_by_few_rows_is_integrated_directly(monkeypatch):
+    built = []
+    build = protocol.probe_map_coefficients
+
+    def recording(groups, *args, **kwargs):
+        built.extend(int(g) for g in groups)
+        return build(groups, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "probe_map_coefficients", recording)
+    geometry = PulseGeometry(b_duration=112e-9)
+    rows = 9 * protocol.CHEBYSHEV_NODES
+    # At 112 ns a 0.3 pi probe takes one substep per base step, a pi probe two.
+    for thetas, tables in (
+        ([[0.3, 1.0]], []),
+        ([[0.3, 0.3]], [1]),
+        ([[0.3]] * (rows - 1), []),
+        ([[0.3]] * rows, [1]),
+    ):
+        built.clear()
+        rho = dissipative_sweep(np.pi * np.array(thetas), len(thetas[0]), SAMPLE_2, geometry=geometry)
+        assert built == tables
+        single = dissipative_sweep(np.pi * np.array(thetas[:1]), len(thetas[0]), SAMPLE_2, geometry=geometry)
+        assert np.max(np.abs(rho - single)) <= 1e-13
+
+
 def test_density_guard_names_row():
     good = np.array([thermal_state(SAMPLE_1).matrix] * 3)
     check_density_batch(good, "segment x")
