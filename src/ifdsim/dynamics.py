@@ -29,9 +29,10 @@ too, so RK4 runs in real arithmetic. Complex states and other phases go
 through the same code in complex arithmetic. Every segment is a linear
 map on vec(rho), so :func:`ifdsim.protocol.dissipative_sweep` integrates
 only the 9 basis matrices: the beam splitter once per sweep as a 9 x 9
-matrix, and each probe shape at a few Chebyshev nodes of the amplitude
-per substep group (:func:`substep_counts`), from which every row's map
-is interpolated.
+matrix, and each probe shape once per sweep at the amplitudes of each
+substep group (:func:`substep_counts`): at its own amplitudes where the
+group has fewer than 16, else at 16 Chebyshev nodes from which every
+row's map is interpolated.
 
 The same RK4 loop also runs the sampled-waveform propagators:
 :func:`propagate_lindblad` on the same superoperators, and

@@ -13,7 +13,6 @@ instead, collapsing the surviving branch.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,8 @@ from .su3 import DensityMatrix, Operator3, PureState, b_pulse, beam_splitter
 MODELS = ("ideal", "lindblad", "lindblad_depol")
 EXPANSION_MAX_N = 25  # largest N of the expansion_coefficients tables
 # Chebyshev nodes per substep group of a probe map: 16 interpolate every
-# probe shape to rounding level (12 leave errors up to 3.4e-11).
+# probe shape to rounding level (12 leave errors up to 3.4e-11). A group
+# with fewer distinct amplitudes integrates those instead.
 CHEBYSHEV_NODES = 16
 
 
@@ -182,80 +182,68 @@ def run_coherent_ideal(spec: ProtocolSpec) -> OutcomeProbabilities:
 # Dissipative protocol runner
 # ---------------------------------------------------------------------------
 
-def probe_map_coefficients(
-    groups, width: float, tau: float, tau_c: float, rates: ThermalRates, dt: float, phase: float = -np.pi / 2
-) -> np.ndarray:
-    """Chebyshev coefficients in the amplitude of a probe's map on vec(rho), per substep group.
-
-    In substep group g (:func:`ifdsim.dynamics.substep_counts`, group
-    width `width`) the RK4 map of the probe of shape (tau, tau_c) is a
-    polynomial in the amplitude a, smooth enough that CHEBYSHEV_NODES
-    Chebyshev points of ((g - 1) w, g w] interpolate it to rounding
-    level (Trefethen, Approximation Theory and Approximation Practice,
-    2013). The 9 basis matrices at every node of every group run through
-    one :func:`lindblad_segment_batch` call. Returns shape
-    (len(groups), CHEBYSHEV_NODES, 9, 9): entry [i, j] is the
-    coefficient of T_j in group groups[i], row k of each the image of
-    the k-th basis matrix.
-    """
-    angles = np.pi * (np.arange(CHEBYSHEV_NODES) + 0.5) / CHEBYSHEV_NODES
-    centres = (np.asarray(groups, dtype=float) - 0.5) * width
-    nodes = (centres[:, None] + 0.5 * width * np.cos(angles)).ravel()
-    basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(nodes), 9, 3, 3))
-    maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, tau_c, rates, dt, phase)
-    # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
-    transform = (2.0 / CHEBYSHEV_NODES) * np.cos(np.outer(np.arange(CHEBYSHEV_NODES), angles))
-    transform[0] *= 0.5
-    return np.einsum("jk,gkab->gjab", transform, maps.reshape(len(groups), CHEBYSHEV_NODES, 9, 9))
-
-
 class ProbeMaps:
-    """The probe segments of one sweep as 9 x 9 maps on vec(rho).
+    """Every probe segment of a sweep as a 9 x 9 map on vec(rho), built once.
 
-    segments lists every (tau, tau_c, amplitudes) the sweep will apply.
-    Coefficient tables are keyed by (probe shape, substep group) and
-    built by :func:`probe_map_coefficients` the first time a key
-    appears; each row is then mapped by Clenshaw's recurrence in its
-    amplitude, on (rows, 9) arrays. A key that only one segment uses,
-    with fewer rows than the 9 CHEBYSHEV_NODES basis rows its table
-    would integrate, is integrated directly instead: that one call costs
-    less than the call that builds the table.
+    thetas has shape (rows, positions). A probe's key is its shape
+    (tau, tau_c) and its substep group g (:func:`ifdsim.dynamics.substep_counts`,
+    group width w), in which its RK4 map is a smooth function of the
+    amplitude a. A key with fewer distinct amplitudes than
+    CHEBYSHEV_NODES takes those amplitudes as its nodes, and each probe
+    gets the exact map of its own amplitude. Any other key takes
+    CHEBYSHEV_NODES Chebyshev points of ((g - 1) w, g w], which
+    interpolate its map to rounding level (Trefethen, Approximation
+    Theory and Approximation Practice, 2013), and each probe is mapped
+    by Clenshaw's recurrence in its amplitude. All of one shape's maps
+    come from one :func:`lindblad_segment_batch` call on the 9 basis
+    matrices at its nodes.
     """
 
-    def __init__(self, rates: ThermalRates, dt: float, phase: float = -np.pi / 2, segments=()):
-        self.rates, self.dt, self.phase = rates, dt, phase
-        self._tables = {}
-        uses, row_counts = Counter(), Counter()
-        for tau, tau_c, amps in segments:
-            groups, counts = np.unique(substep_counts(amps, 2.0 * tau_c, dt)[0], return_counts=True)
-            for g, count in zip(groups, counts):
-                uses[tau, tau_c, g] += 1
-                row_counts[tau, tau_c, g] += count
-        self._direct = {key for key in uses if uses[key] == 1 and row_counts[key] < 9 * CHEBYSHEV_NODES}
+    def __init__(self, thetas, geometry: PulseGeometry, rates: ThermalRates, dt: float, phase: float = -np.pi / 2):
+        # Chebyshev coefficients of each map in x in [-1, 1]; an exact map
+        # is a series of one term. Each probe's table and its x:
+        self._tables = []
+        self._table = np.empty(thetas.shape, dtype=int)
+        self._x = np.zeros(thetas.shape)
+        angles = np.pi * (np.arange(CHEBYSHEV_NODES) + 0.5) / CHEBYSHEV_NODES
+        # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
+        transform = (2.0 / CHEBYSHEV_NODES) * np.cos(np.outer(np.arange(CHEBYSHEV_NODES), angles))
+        transform[0] *= 0.5
+        shapes = np.stack(geometry.b_shape(thetas), axis=-1)
+        for tau, tau_c in np.unique(shapes.reshape(-1, 2), axis=0):
+            cells = np.all(shapes == (tau, tau_c), axis=-1)
+            amps = amplitude_for_bpulse(thetas[cells], effective_area(tau, tau_c))
+            groups, width = substep_counts(amps, 2.0 * tau_c, dt)
+            table, x = np.empty(len(amps), dtype=int), np.zeros(len(amps))
+            keys = []  # (members, nodes, each member's table among the key's)
+            for g in np.unique(groups):
+                members = groups == g
+                nodes, which = np.unique(amps[members], return_inverse=True)
+                if len(nodes) >= CHEBYSHEV_NODES:
+                    nodes, which = (g - 0.5) * width + 0.5 * width * np.cos(angles), 0
+                    # each amplitude's place in its group's interval, mapped to [-1, 1]
+                    x[members] = 2.0 * (amps[members] / width - (g - 0.5))
+                keys.append((members, nodes, which))
+            nodes = np.concatenate([key[1] for key in keys])
+            basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(nodes), 9, 3, 3))
+            maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, tau_c, rates, dt, phase)
+            maps = maps.reshape(-1, 9, 9)
+            for members, nodes, which in keys:
+                block, maps = maps[: len(nodes)], maps[len(nodes) :]
+                table[members] = len(self._tables) + which
+                if len(nodes) < CHEBYSHEV_NODES:
+                    self._tables.extend(block[:, None])
+                else:
+                    self._tables.append(np.einsum("jk,kab->jab", transform, block))
+            self._table[cells], self._x[cells] = table, x
 
-    def apply(self, rho: np.ndarray, amps: np.ndarray, tau: float, tau_c: float) -> np.ndarray:
-        """Rows of vec(rho), shape (rows, 9), through the probe of shape (tau, tau_c) at amplitudes amps."""
-        groups, width = substep_counts(amps, 2.0 * tau_c, self.dt)
-        present = np.unique(groups)
-        tabulated = [g for g in present if (tau, tau_c, g) not in self._direct]
-        missing = [g for g in tabulated if (tau, tau_c, g) not in self._tables]
-        if missing:
-            tables = probe_map_coefficients(missing, width, tau, tau_c, self.rates, self.dt, self.phase)
-            self._tables.update({(tau, tau_c, g): table for g, table in zip(missing, tables)})
-        pieces = []
-        direct = ~np.isin(groups, tabulated)
-        if np.any(direct):
-            start = rho[direct].reshape(-1, 3, 3)
-            mapped = lindblad_segment_batch(start, amps[direct], "12", tau, tau_c, self.rates, self.dt, self.phase)
-            pieces.append((direct, mapped.reshape(-1, 9)))
-        for g in tabulated:
-            rows = groups == g
-            # each amplitude's place in its group's interval, mapped to [-1, 1]
-            x = 2.0 * (amps[rows, None] / width - (g - 0.5))
-            pieces.append((rows, _clenshaw(rho[rows], x, self._tables[tau, tau_c, g])))
-        out = np.empty(rho.shape, dtype=np.result_type(rho, *(piece for _, piece in pieces)))
-        for rows, piece in pieces:
-            out[rows] = piece
+    def apply(self, vec: np.ndarray, j: int) -> np.ndarray:
+        """Rows of vec(rho), shape (rows, 9), through the probes at position j."""
+        out = np.empty(vec.shape, dtype=np.result_type(vec, *self._tables))
+        column = self._table[:, j]
+        for t in np.unique(column):
+            rows = column == t
+            out[rows] = _clenshaw(vec[rows], self._x[rows, j, None], self._tables[t])
         return out
 
 
@@ -264,9 +252,8 @@ def _clenshaw(v: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     # A non-finite table or row propagates without a warning; the
     # caller's check reports the row.
     with np.errstate(over="ignore", invalid="ignore"):
-        b1 = v @ coeffs[-1]
-        b2 = np.zeros_like(b1)
-        for c in coeffs[-2:0:-1]:
+        b1 = b2 = 0.0
+        for c in coeffs[:0:-1]:
             b1, b2 = v @ c + 2.0 * x * b1 - b2, b1
         return v @ coeffs[0] + x * b1 - b2
 
@@ -287,19 +274,20 @@ def dissipative_sweep(
     The beam-splitter segment is the same for every row and every
     position, so its 9 x 9 map on vec(rho) is integrated once and applied
     as one matmul. A probe segment's map depends only on its shape and
-    amplitude; :class:`ProbeMaps` interpolates it in the amplitude from a
-    few maps per shape and substep group, built once per sweep. After
-    every segment each row is checked to be a density matrix
-    (:func:`check_density_batch`). Returns the final density
-    matrices with shape (batch, 3, 3), real when the initial state is;
-    with collect_checkpoints=True also a list of per-checkpoint copies
-    (initial state plus one entry per applied pulse, 2 N + 2 in total).
+    amplitude; :class:`ProbeMaps` builds every probe's map once per
+    sweep, exact at a key's own amplitudes where it has few, else
+    interpolated in the amplitude. After every segment each row is
+    checked to be a density matrix (:func:`check_density_batch`).
+    Returns the final density matrices with shape (batch, 3, 3), real
+    when the initial state is; with collect_checkpoints=True also a list
+    of per-checkpoint copies (initial state plus one entry per applied
+    pulse, 2 N + 2 in total).
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     batch = thetas.shape[0]
     if thetas.shape[1] != n_segments:
         raise ValueError(f"thetas must have {n_segments} columns")
-    # Each substep group's table is fitted on non-negative amplitudes only.
+    # Each substep group's Chebyshev nodes cover non-negative amplitudes only.
     if np.any(thetas < 0):
         raise ValueError(f"theta must be non-negative, got {thetas[thetas < 0].flat[0]}")
     geo = geometry or geometry_for_n(n_segments)
@@ -317,6 +305,7 @@ def dissipative_sweep(
     # vec(rho) @ s_map applies the segment to every row.
     basis = np.eye(9).reshape(9, 3, 3)
     s_map = lindblad_segment_batch(basis, s_amp, "01", s_tau, s_tau_c, rates, dt).reshape(9, 9)
+    probes = ProbeMaps(thetas, geo, rates, dt)
 
     checkpoints = [rho.copy()] if collect_checkpoints else None
 
@@ -330,26 +319,9 @@ def dissipative_sweep(
         rho = (rho.reshape(batch, 9) @ s_map).reshape(batch, 3, 3)
         finish_segment(f"beam splitter {j + 1} of {n_segments + 1}")
 
-    # Per probe position, the rows of each probe-pulse shape and their
-    # amplitudes; the 56 ns family stretches at large theta, changing tau
-    # and the calibration area.
-    columns = []
-    for col in thetas.T:
-        shapes = np.stack(geo.b_shape(col), axis=1)
-        segments = []
-        for tau, tau_c in np.unique(shapes, axis=0):
-            rows = np.flatnonzero(np.all(shapes == (tau, tau_c), axis=1))
-            segments.append((rows, tau, tau_c, amplitude_for_bpulse(col[rows], effective_area(tau, tau_c))))
-        columns.append(segments)
-    probes = ProbeMaps(rates, dt, segments=[segment[1:] for segments in columns for segment in segments])
-
     run_s(0)
-    for j, segments in enumerate(columns):
-        vec = rho.reshape(batch, 9)
-        out = np.empty_like(vec)
-        for rows, tau, tau_c, amps in segments:
-            out[rows] = probes.apply(vec[rows], amps, tau, tau_c)
-        rho = out.reshape(batch, 3, 3)
+    for j in range(n_segments):
+        rho = probes.apply(rho.reshape(batch, 9), j).reshape(batch, 3, 3)
         if depolarize:
             rho = apply_depolarizing(rho, epsilon_for_theta(thetas[:, j]))
         finish_segment(f"probe {j + 1} of {n_segments}")
@@ -375,18 +347,32 @@ def _sweep_spec(spec: ProtocolSpec, collect_checkpoints: bool = False):
     )
 
 
+def populations(rho: np.ndarray) -> np.ndarray:
+    """diag(rho) of :func:`dissipative_sweep` results, clipped to [0, 1].
+
+    :func:`check_density_batch` accepts the solver's 1e-6 accuracy, so
+    a population that is exactly 0 in a closed system can come out just
+    below it; OutcomeProbabilities allows only 1e-9.
+    """
+    return np.clip(np.real(np.diagonal(rho, axis1=-2, axis2=-1)), 0.0, 1.0)
+
+
 def run_coherent_dissipative(spec: ProtocolSpec) -> OutcomeProbabilities:
     """Full protocol through the master equation; returns diag(rho_final)."""
-    rho = _sweep_spec(spec)
-    return OutcomeProbabilities(*np.real(np.diagonal(rho[0])))
+    return OutcomeProbabilities(*populations(_sweep_spec(spec)[0]))
 
 
 def dissipative_checkpoints(spec: ProtocolSpec) -> list[DensityMatrix]:
-    """Density matrix before the sequence and after every applied pulse."""
+    """Density matrix before the sequence and after every applied pulse.
+
+    Eigenvalues below 0, which the solver's accuracy allows
+    (:func:`check_density_batch`), are clipped to 0.
+    """
     _, checkpoints = _sweep_spec(spec, collect_checkpoints=True)
     out = []
     for c in checkpoints:
-        m = 0.5 * (c[0] + c[0].conj().T)
+        w, v = np.linalg.eigh(0.5 * (c[0] + c[0].conj().T))
+        m = (v * np.maximum(w, 0.0)) @ v.conj().T
         out.append(DensityMatrix(m / np.trace(m).real))
     return out
 

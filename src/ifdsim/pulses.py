@@ -171,12 +171,14 @@ def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLIN
     )
 
 
-def stretched_duration(theta):
+def stretched_duration(theta, base: float = STRETCH_BASE_NS * 1e-9):
     """Total probe duration in seconds of the 56 ns family, elementwise over theta in [0, 4 pi].
 
-    56 ns up to 3.38 pi; above that the duration is stepped through
-    57..61 ns in six equal theta bins so the area grows and the peak
-    amplitude stays within generator headroom.
+    base (56 ns) up to 3.38 pi; above that the duration is stepped
+    through 56..61 ns in six equal theta bins so the area grows and the
+    peak amplitude stays within generator headroom. The first bin is
+    base itself, so a geometry that passes its own b_duration gets one
+    56 ns shape, however that duration was spelt.
     """
     theta = np.asarray(theta, dtype=float)
     outside = ~((theta >= 0) & (theta <= STRETCH_THETA_MAX))
@@ -184,9 +186,8 @@ def stretched_duration(theta):
         raise ValueError(f"theta must be in [0, 4 pi], got {theta[outside].flat[0]}")
     n_bins = STRETCH_MAX_NS - STRETCH_BASE_NS + 1
     width = (STRETCH_THETA_MAX - STRETCH_THETA) / n_bins
-    step = np.minimum(((theta - STRETCH_THETA) / width).astype(int), n_bins - 1)
-    total_ns = np.where(theta <= STRETCH_THETA, STRETCH_BASE_NS, STRETCH_BASE_NS + step)
-    return total_ns * 1e-9
+    step = np.clip(((theta - STRETCH_THETA) / width).astype(int), 0, n_bins - 1)
+    return np.where(step == 0, base, (STRETCH_BASE_NS + step) * 1e-9)
 
 
 def duration_for_theta(theta: float) -> tuple[float, float]:
@@ -217,7 +218,7 @@ class PulseGeometry:
         total = np.full(theta.shape, self.b_duration)
         if self.stretch_long_pulses and abs(self.b_duration - 56e-9) < 1e-15:
             long = theta > STRETCH_THETA
-            total[long] = stretched_duration(theta[long])
+            total[long] = stretched_duration(theta[long], self.b_duration)
         return total / 4.0, total / 2.0
 
     def total_duration(self, n_segments: int, thetas=None) -> float:

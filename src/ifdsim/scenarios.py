@@ -28,6 +28,7 @@ from .protocol import (
     dissipative_sweep,
     expansion_coefficients,
     ideal_amplitudes,
+    populations,
     projective_closed_form,
     run_coherent_ideal,
     run_projective,
@@ -153,7 +154,7 @@ def _probabilities(
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return np.real(np.diagonal(rho, axis1=1, axis2=2))
+    return populations(rho)
 
 
 def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> list[tuple]:

@@ -556,6 +556,34 @@ def test_n1_sweep_dissipative_with_stretch_region(tmp_path):
     assert all(abs(t - 1.0) < 1e-6 for t in totals)
 
 
+DECOHERENCE_FREE = "model.kind = lindblad\n" + "".join(
+    f"decoherence.{key} = 0\n"
+    for key in ("gamma10_hz", "gamma21_hz", "gphi10_hz", "gphi21_hz", "gphi02_hz", "temperature_k")
+)
+
+
+@pytest.mark.parametrize(
+    "scenario, text",
+    [("n1_sweep", ""), ("n2_map", ""), ("majorana_trajectory", "protocol.n = 2\nprotocol.thetas_pi = 1\n")],
+    ids=["n1_sweep", "n2_map", "majorana_trajectory"],
+)
+def test_cli_decoherence_free_dissipative_run_exits_0(tmp_path, scenario, text):
+    # RK4 leaves populations and eigenvalues that are 0 in the closed
+    # system up to 1e-6 below it, inside the density check's bound.
+    cfg = write(tmp_path, "free.cfg", DECOHERENCE_FREE + text)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_decoherence_free_n1_sweep_matches_ideal(tmp_path):
+    p = {}
+    for kind, text in (("ideal", "model.kind = ideal\n"), ("lindblad", DECOHERENCE_FREE)):
+        cfg = write(tmp_path, f"{kind}.cfg", text)
+        assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+        _, rows = read_csv(tmp_path / kind / "n1_sweep.csv")
+        p[kind] = np.array([[float(v) for v in row[1:4]] for row in rows])
+    assert np.max(np.abs(p["lindblad"] - p["ideal"])) <= 1e-6
+
+
 def test_initial_state_config_key(tmp_path):
     cfg = write(
         tmp_path,

@@ -430,6 +430,38 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
         assert np.max(np.abs(other - reference)) < 1e-6
 
 
+def probe_map_error(duration_ns, phase, model, seed, amps, exact):
+    """Largest distance of ProbeMaps rows from direct RK4 at amplitudes near amps.
+
+    The probes get strengths amps * area, so each amplitude is within
+    one ulp of its target. Every substep group must hold fewer distinct
+    amplitudes than CHEBYSHEV_NODES if exact, else at least as many.
+    """
+    geometry = PulseGeometry(b_duration=duration_ns * 1e-9, stretch_long_pulses=False)
+    tau, tau_c = (float(v) for v in geometry.b_shape(0.0))
+    area = effective_area(tau, tau_c)
+    thetas = amps * area
+    amps = thetas / area
+    groups, _ = substep_counts(amps, 2 * tau_c, 1e-9)
+    for g in np.unique(groups):
+        assert (len(np.unique(amps[groups == g])) < protocol.CHEBYSHEV_NODES) == exact
+    complex_ = phase != -np.pi / 2
+    rho = np.array([random_hermitian_density(seed + i, complex_) for i in range(len(amps))])
+    rates = thermal_rates(model)
+    direct = lindblad_segment_batch(rho, amps, "12", tau, tau_c, rates, phase=phase)
+    probes = ProbeMaps(thetas[:, None], geometry, rates, 1e-9, phase)
+    mapped = probes.apply(rho.reshape(-1, 9), 0).reshape(-1, 3, 3)
+    assert np.iscomplexobj(mapped) == complex_
+    return np.max(np.abs(mapped - direct))
+
+
+def probe_groups(duration_ns):
+    """Substep groups 1..top a probe of this shape reaches up to 4 pi, and the group width."""
+    tau_c = duration_ns * 1e-9 / 2
+    (top,), width = substep_counts([4 * np.pi / effective_area(tau_c / 2, tau_c)], 2 * tau_c, 1e-9)
+    return np.arange(1, top + 1), width
+
+
 @pytest.mark.parametrize("duration_ns", [56, 61, 112])
 @pytest.mark.parametrize("phase", [-np.pi / 2, 0.3], ids=["real", "phase0.3"])
 @given(
@@ -439,62 +471,83 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
 )
 @settings(max_examples=2, deadline=None, derandomize=True)
 def test_interpolated_probe_map_matches_segment(duration_ns, phase, model, fraction, seed):
-    # Every substep group a probe of this shape reaches up to 4 pi: each
-    # group's top edge g w, the next float above (g - 1) w and a drawn
-    # interior point, plus a = 0.
-    tau, tau_c = duration_ns * 1e-9 / 4, duration_ns * 1e-9 / 2
-    (top,), width = substep_counts([4 * np.pi / effective_area(tau, tau_c)], 2 * tau_c, 1e-9)
-    groups = np.arange(1, top + 1)
+    # Every substep group up to 4 pi, each with CHEBYSHEV_NODES drawn
+    # interior amplitudes clear of its edges, its top edge g w and the
+    # float above (g - 1) w, plus a = 0.
+    groups, width = probe_groups(duration_ns)
+    interior = (np.arange(1, protocol.CHEBYSHEV_NODES + 1) + fraction) / (protocol.CHEBYSHEV_NODES + 2)
+    inside = ((groups - 1)[:, None] + interior).ravel() * width
+    amps = np.concatenate([[0.0], groups * width, np.nextafter((groups - 1) * width, np.inf), inside])
+    assert probe_map_error(duration_ns, phase, model, seed, amps, exact=False) <= 1e-13
+
+
+@pytest.mark.parametrize("duration_ns", [56, 61, 112])
+@pytest.mark.parametrize("phase", [-np.pi / 2, 0.3], ids=["real", "phase0.3"])
+@given(
+    model=st.sampled_from([SAMPLE_1, SAMPLE_2]),
+    fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=2, deadline=None, derandomize=True)
+def test_exact_probe_map_matches_segment(duration_ns, phase, model, fraction, seed):
+    # The same edges with one drawn interior amplitude per group: every
+    # key holds at most four distinct amplitudes.
+    groups, width = probe_groups(duration_ns)
     amps = np.concatenate(
         [[0.0], groups * width, np.nextafter((groups - 1) * width, np.inf), (groups - 1 + fraction) * width]
     )
-    complex_ = phase != -np.pi / 2
-    rho = np.array([random_hermitian_density(seed + i, complex_) for i in range(len(amps))])
-    rates = thermal_rates(model)
-    direct = lindblad_segment_batch(rho, amps, "12", tau, tau_c, rates, phase=phase)
-    mapped = ProbeMaps(rates, 1e-9, phase).apply(rho.reshape(-1, 9), amps, tau, tau_c).reshape(-1, 3, 3)
-    assert np.iscomplexobj(mapped) == complex_
-    assert np.max(np.abs(mapped - direct)) <= 1e-13
+    assert probe_map_error(duration_ns, phase, model, seed, amps, exact=True) <= 1e-13
+
+
+def breaking_probe_node(node):
+    """lindblad_segment_batch with the map of one probe node made non-finite."""
+
+    def broken(rho, amplitudes, transition, *args, **kwargs):
+        maps = lindblad_segment_batch(rho, amplitudes, transition, *args, **kwargs)
+        if transition == "12":
+            maps[node, 4] = np.nan
+        return maps
+
+    return broken
 
 
 def test_non_finite_probe_map_is_reported_by_row(monkeypatch):
-    build = protocol.probe_map_coefficients
-
-    def broken_second_group(groups, *args, **kwargs):
-        tables = build(groups, *args, **kwargs)
-        tables[list(groups).index(2), 0, 4, 4] = np.nan
-        return tables
-
-    monkeypatch.setattr(protocol, "probe_map_coefficients", broken_second_group)
-    # At 112 ns a pi probe takes two substeps per base step, 0.3 pi one.
-    thetas = np.pi * np.array([[0.3, 0.3], [1.0, 0.3], [0.3, 1.0]])
-    with pytest.raises(NumericToleranceError, match=r"^probe 1 of 2, row 1: non-finite density matrix$"):
-        dissipative_sweep(thetas, 2, SAMPLE_2, geometry=PulseGeometry(b_duration=112e-9))
+    # At 112 ns a pi probe takes two substeps per base step, 0.1..0.8 pi
+    # one. Group 1 comes first among a shape's nodes: here its second
+    # exact node (0.5 pi), then any node of its interpolated map.
+    exact = [[1.0, 1.0], [0.3, 1.0], [0.5, 1.0]]
+    fitted = [[1.0, 1.0]] + [[t, 1.0] for t in np.linspace(0.1, 0.8, protocol.CHEBYSHEV_NODES)]
+    for thetas, node, row in ((exact, 1, 2), (fitted, 0, 1)):
+        monkeypatch.setattr(protocol, "lindblad_segment_batch", breaking_probe_node(node))
+        with pytest.raises(NumericToleranceError, match=rf"^probe 1 of 2, row {row}: non-finite density matrix$"):
+            dissipative_sweep(np.pi * np.array(thetas), 2, SAMPLE_2, geometry=PulseGeometry(b_duration=112e-9))
 
 
-def test_probe_key_used_once_by_few_rows_is_integrated_directly(monkeypatch):
-    built = []
-    build = protocol.probe_map_coefficients
+@pytest.mark.parametrize("distinct", [15, 16])
+def test_probe_key_is_exact_below_chebyshev_nodes_amplitudes(monkeypatch, distinct):
+    nodes = []
 
-    def recording(groups, *args, **kwargs):
-        built.extend(int(g) for g in groups)
-        return build(groups, *args, **kwargs)
+    def recording(rho, amplitudes, transition, *args, **kwargs):
+        if transition == "12":
+            nodes.append(np.ravel(amplitudes))
+        return lindblad_segment_batch(rho, amplitudes, transition, *args, **kwargs)
 
-    monkeypatch.setattr(protocol, "probe_map_coefficients", recording)
+    monkeypatch.setattr(protocol, "lindblad_segment_batch", recording)
     geometry = PulseGeometry(b_duration=112e-9)
-    rows = 9 * protocol.CHEBYSHEV_NODES
-    # At 112 ns a 0.3 pi probe takes one substep per base step, a pi probe two.
-    for thetas, tables in (
-        ([[0.3, 1.0]], []),
-        ([[0.3, 0.3]], [1]),
-        ([[0.3]] * (rows - 1), []),
-        ([[0.3]] * rows, [1]),
-    ):
-        built.clear()
-        rho = dissipative_sweep(np.pi * np.array(thetas), len(thetas[0]), SAMPLE_2, geometry=geometry)
-        assert built == tables
-        single = dissipative_sweep(np.pi * np.array(thetas[:1]), len(thetas[0]), SAMPLE_2, geometry=geometry)
-        assert np.max(np.abs(rho - single)) <= 1e-13
+    tau, tau_c = (float(v) for v in geometry.b_shape(0.0))
+    # At 112 ns every strength up to 0.8 pi takes one substep per base
+    # step; each strength appears twice, in one substep group.
+    strengths = np.pi * np.linspace(0.1, 0.8, distinct)
+    thetas = np.repeat(strengths, 2)[:, None]
+    rho = dissipative_sweep(thetas, 1, SAMPLE_2, geometry=geometry)
+    (used,) = nodes
+    exact = distinct < protocol.CHEBYSHEV_NODES
+    assert np.array_equal(used, strengths / effective_area(tau, tau_c)) == exact
+    assert len(used) == (distinct if exact else protocol.CHEBYSHEV_NODES)
+    # Each row alone is a key of one amplitude, always exact.
+    for row, theta in zip(rho, thetas):
+        single = dissipative_sweep(theta[None], 1, SAMPLE_2, geometry=geometry)[0]
+        assert np.max(np.abs(row - single)) <= 1e-13
 
 
 def test_density_guard_names_row():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ifdsim.config import parse_config_text
 from ifdsim.dynamics import DriveHamiltonianSpec, operator_distance_2norm, propagate_schrodinger
 from ifdsim.pulses import (
     PulseEnvelope,
@@ -159,6 +160,21 @@ def test_stretch_rule_array_form_matches_scalar_calls():
     for bad in (-0.1, 4.01 * np.pi, np.nan):
         with pytest.raises(ValueError, match=r"theta must be in \[0, 4 pi\]"):
             stretched_duration([np.pi, bad])
+
+
+def test_56ns_probe_has_one_duration_however_spelt():
+    # geometry_for_n says 56e-9; a config file says 56 (ns), which becomes
+    # 56 * 1e-9, one ulp above it. Each geometry's first stretched bin is
+    # its own b_duration, so both see the same six shapes.
+    thetas = np.linspace(0.0, 4 * np.pi, 41)
+    durations = []
+    for geo in (geometry_for_n(2), parse_config_text("scenario = n2_map\n").geometry(default_b_ns=56.0)):
+        _, tau_c = geo.b_shape(thetas)
+        totals = np.unique(2 * tau_c)
+        assert len(totals) == 6 and totals[0] == geo.b_duration
+        durations.append(totals)
+    assert durations[0][0] != durations[1][0]
+    assert np.array_equal(durations[0][1:], durations[1][1:])
 
 
 def test_duration_stretch_lowers_amplitude():
