@@ -185,9 +185,10 @@ def run_coherent_ideal(spec: ProtocolSpec) -> OutcomeProbabilities:
 class ProbeMaps:
     """Every probe segment of a sweep as a 9 x 9 map on vec(rho), built once.
 
-    thetas has shape (rows, positions). A probe's key is its shape
-    (tau, tau_c) and its substep group g (:func:`ifdsim.dynamics.substep_counts`,
-    group width w), in which its RK4 map is a smooth function of the
+    thetas has shape (rows, positions). A probe's key is its shape,
+    found by its duration tau alone (b_shape gives tau_c = 2 tau), and
+    its substep group g (:func:`ifdsim.dynamics.substep_counts`, group
+    width w), in which its RK4 map is a smooth function of the
     amplitude a. A key with fewer distinct amplitudes than
     CHEBYSHEV_NODES takes those amplitudes as its nodes, and each probe
     gets the exact map of its own amplitude. Any other key takes
@@ -209,9 +210,10 @@ class ProbeMaps:
         # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
         transform = (2.0 / CHEBYSHEV_NODES) * np.cos(np.outer(np.arange(CHEBYSHEV_NODES), angles))
         transform[0] *= 0.5
-        shapes = np.stack(geometry.b_shape(thetas), axis=-1)
-        for tau, tau_c in np.unique(shapes.reshape(-1, 2), axis=0):
-            cells = np.all(shapes == (tau, tau_c), axis=-1)
+        # b_shape gives tau_c = 2 tau exactly, so a shape is keyed by tau.
+        taus, _ = geometry.b_shape(thetas)
+        for tau in np.unique(taus):
+            cells, tau_c = taus == tau, 2.0 * tau
             amps = amplitude_for_bpulse(thetas[cells], effective_area(tau, tau_c))
             groups, width = substep_counts(amps, 2.0 * tau_c, dt)
             table, x = np.empty(len(amps), dtype=int), np.zeros(len(amps))

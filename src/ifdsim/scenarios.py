@@ -9,6 +9,7 @@ scenario runs in the calling thread, one N after another; the
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -64,8 +65,7 @@ def emit_csv(result: SweepResult, path: str) -> None:
     lines = [",".join(result.headers)]
     for row in result.rows:
         lines.append(_row_format(tuple(map(type, row))) % tuple(row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(path, "\n".join(lines) + "\n")
 
 
 def emit_summary_json(result: SweepResult, path: str) -> None:
@@ -78,9 +78,22 @@ def emit_summary_json(result: SweepResult, path: str) -> None:
         "row_count": len(result.rows),
         "aggregates": result.aggregates,
     }
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to a temp file beside path, then rename it over path.
+
+    A run that fails part-way leaves path as it was, and no temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def run_scenario(config: ExperimentConfig) -> SweepResult:
