@@ -14,7 +14,8 @@ The package is organised around the stages of the detection protocol:
 - :mod:`ifdsim.quantized` - fully quantum treatment of the probe field
   (Fock states, two modes, two-level probe).
 - :mod:`ifdsim.majorana` - stellar representation of qutrit states.
-- :mod:`ifdsim.metrics` - figures of merit and shot statistics.
+- :mod:`ifdsim.metrics` - PR/NR ratios (the confusion matrix at theta = pi
+  and 0), interaction-free efficiency and shot sampling.
 - :mod:`ifdsim.scenarios` / :mod:`ifdsim.cli` - reproducible experiment
   runner with CSV/JSON emission; ``scenarios.SCENARIOS`` is the one list
   of scenarios.

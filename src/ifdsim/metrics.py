@@ -1,10 +1,12 @@
-"""Figures of merit, aggregate statistics and shot sampling.
+"""Figures of merit and shot sampling.
 
 The positive ratio PR = p0/(p0+p1) is the fraction of non-absorbed runs
 that report a detection; its complement NR is the inconclusive
-fraction. Evaluated at full strength and at zero strength these form
-the confusion matrix. The interaction-free efficiency discards the
-inconclusive outcomes instead: eta = p_success / (p_success + p_absorb).
+fraction. :func:`pr_nr` at full strength (theta = pi) gives the true
+positive and false negative rates, and at zero strength the false
+positive and true negative rates of the confusion matrix. The
+interaction-free efficiency discards the inconclusive outcomes instead:
+eta = p_success / (p_success + p_absorb).
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ import numpy as np
 
 from . import UndefinedRatioError
 from .protocol import OutcomeProbabilities
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tpr: float
-    fnr: float
-    fpr: float
-    tnr: float
 
 
 @dataclass(frozen=True)
@@ -50,13 +44,6 @@ def pr_nr(p: OutcomeProbabilities) -> tuple[float, float]:
     return p.p0 / denom, p.p1 / denom
 
 
-def confusion_matrix(at_pi: OutcomeProbabilities, at_zero: OutcomeProbabilities) -> ConfusionMatrix:
-    """Confusion matrix from full-strength and zero-strength outcomes."""
-    tpr, fnr = pr_nr(at_pi)
-    fpr, tnr = pr_nr(at_zero)
-    return ConfusionMatrix(tpr=tpr, fnr=fnr, fpr=fpr, tnr=tnr)
-
-
 def efficiency(p_success, p_absorb):
     """Success fraction among conclusive outcomes, for floats or arrays."""
     denom = p_success + p_absorb
@@ -73,25 +60,6 @@ def cumulative_absorption(per_segment) -> float:
     return float(values.sum())
 
 
-def plateau_area(theta_grid, p0_values) -> float:
-    """Trapezoidal integral of p0 over the strength grid."""
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    p0_values = np.asarray(p0_values, dtype=float)
-    if theta_grid.shape != p0_values.shape:
-        raise ValueError("grids must have matching lengths")
-    if np.any(np.diff(theta_grid) <= 0):
-        raise ValueError("theta grid must be strictly ascending")
-    return float(np.trapezoid(p0_values, theta_grid))
-
-
-def distribution_stats(values) -> tuple[float, float]:
-    """Population mean and standard deviation (divisor = count)."""
-    values = np.asarray(list(values), dtype=float)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    return float(values.mean()), float(values.std())
-
-
 def sample_shots(p: OutcomeProbabilities, n_shots: int, seed: int) -> ShotCounts:
     """Multinomial draw of detector clicks; deterministic for a fixed seed."""
     if n_shots < 1:
@@ -103,10 +71,3 @@ def sample_shots(p: OutcomeProbabilities, n_shots: int, seed: int) -> ShotCounts
     probs = probs / probs.sum()
     counts = np.random.default_rng(seed).multinomial(n_shots, probs)
     return ShotCounts(d0=int(counts[0]), d1=int(counts[1]), d2=int(counts[2]))
-
-
-def dark_count_rate(fpr: float, sensing_time: float) -> float:
-    """False positives per unit sensing time (counts per second)."""
-    if sensing_time <= 0:
-        raise ValueError("sensing_time must be positive")
-    return fpr / sensing_time

@@ -420,15 +420,6 @@ def expansion_coefficients(n_segments: int) -> tuple[np.ndarray, np.ndarray, np.
     return ca, cb, cg
 
 
-def reconstruct_amplitudes(coeffs, theta: float) -> tuple[float, float, float]:
-    """Evaluate the expansion tables at one common pulse strength."""
-    ca, cb, cg = coeffs
-    k = np.arange(len(ca))
-    cos_basis = np.cos(k * theta / 2.0)
-    sin_basis = np.sin(k * theta / 2.0)
-    return float(ca @ cos_basis), float(cb @ cos_basis), float(cg @ sin_basis)
-
-
 # ---------------------------------------------------------------------------
 # Projective baseline
 # ---------------------------------------------------------------------------

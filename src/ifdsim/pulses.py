@@ -50,12 +50,6 @@ def super_gaussian(t, tau: float):
     return np.exp(-0.5 * (t / tau) ** 4)
 
 
-def envelope_value(pulse: PulseEnvelope, t: float):
-    """Drive amplitude at time t (pulse centred at t = 0), zero outside +-tau_c."""
-    t = np.asarray(t, dtype=float)
-    return pulse.omega0 * np.where(np.abs(t) <= pulse.tau_c, super_gaussian(t, pulse.tau), 0.0)
-
-
 def effective_area(tau: float, tau_c: float, dt: float | None = None) -> float:
     """Integral of exp(-(t/tau)^4/2) over [-tau_c, tau_c], in seconds.
 
@@ -190,16 +184,6 @@ def stretched_duration(theta, base: float = STRETCH_BASE_NS * 1e-9):
     return np.where(step == 0, base, (STRETCH_BASE_NS + step) * 1e-9)
 
 
-def duration_for_theta(theta: float) -> tuple[float, float]:
-    """(tau, tau_c) for a probe pulse of strength theta in [0, 4 pi].
-
-    The total duration follows :func:`stretched_duration`; the shape
-    ratio tau_c = 2 tau is kept fixed.
-    """
-    total = float(stretched_duration(theta))
-    return total / 4.0, total / 2.0
-
-
 @dataclass(frozen=True)
 class PulseGeometry:
     """Per-protocol pulse timing: beam-splitter and probe durations."""
@@ -220,12 +204,6 @@ class PulseGeometry:
             long = theta > STRETCH_THETA
             total[long] = stretched_duration(theta[long], self.b_duration)
         return total / 4.0, total / 2.0
-
-    def total_duration(self, n_segments: int, thetas=None) -> float:
-        """Length of the full sequence: N+1 beam splitters and N probe windows."""
-        if thetas is None:
-            thetas = [0.0] * n_segments
-        return (n_segments + 1) * self.s_duration + float(np.sum(4.0 * self.b_shape(thetas)[0]))
 
 
 def geometry_for_n(n_segments: int) -> PulseGeometry:

@@ -141,9 +141,6 @@ class PureState:
         v[level] = 1.0
         return cls(v)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.vector) ** 2
-
     def overlap(self, other: "PureState") -> float:
         """|<self|other>|, i.e. fidelity up to global phase."""
         return float(abs(np.vdot(self.vector, other.vector)))
@@ -177,18 +174,3 @@ class DensityMatrix:
         mixed states back onto the sphere picture."""
         _, vecs = np.linalg.eigh(self.matrix)
         return PureState(vecs[:, -1])
-
-
-def apply_unitary(u: Operator3, state: PureState) -> PureState:
-    """U|state>. U must be unitary; the norm is then preserved exactly."""
-    if not is_unitary(u):
-        raise ValueError("operator is not unitary within tolerance")
-    return PureState(np.asarray(u) @ state.vector)
-
-
-def apply_unitary_rho(u: Operator3, rho: DensityMatrix) -> DensityMatrix:
-    """U rho U^dagger."""
-    if not is_unitary(u):
-        raise ValueError("operator is not unitary within tolerance")
-    u = np.asarray(u)
-    return DensityMatrix(u @ rho.matrix @ u.conj().T)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -327,6 +328,44 @@ def test_readme_config_table_lists_every_key():
         elif keys and not line.startswith("|"):
             break
     assert keys == set(KNOWN_KEYS)
+
+
+def _names_used(tree, outside=None, imports=False):
+    """Every Name id and Attribute name in tree (and imported name, if asked), skipping outside's subtree."""
+    skip = {id(node) for node in ast.walk(outside)} if outside is not None else set()
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif imports and isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_every_public_name_is_reached():
+    # A public module-level function or class must be used in the package
+    # outside its own definition, by the acceptance tests, or be listed in
+    # the README's Library section; a helper only its own unit test calls
+    # restates some other definition.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in (root / "src" / "ifdsim").glob("*.py")}
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    library = (root / "README.md").read_text(encoding="utf-8").partition("\n## Library\n")[2].partition("\n## ")[0]
+    reached = _names_used(acceptance, imports=True) | set(re.findall(r"`(?:\w+\.)*(\w+)", library))
+    used = {module: _names_used(tree) for module, tree in trees.items()}
+    unreached = []
+    for module, tree in sorted(trees.items()):
+        elsewhere = reached.union(*(names for other, names in used.items() if other != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in elsewhere and node.name not in _names_used(tree, outside=node):
+                unreached.append(f"{module}.{node.name}")
+    assert unreached == []
 
 
 # Small fixed value sets per key. Sizes stay tiny wherever a dissipative

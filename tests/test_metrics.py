@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 
 from ifdsim import UndefinedRatioError
 from ifdsim.dynamics import SAMPLE_1
 from ifdsim.metrics import (
     ShotCounts,
-    confusion_matrix,
     cumulative_absorption,
-    dark_count_rate,
-    distribution_stats,
     efficiency,
-    plateau_area,
     pr_nr,
     sample_shots,
 )
@@ -79,16 +74,13 @@ def test_array_ratios_raise_when_any_denominator_is_zero():
 
 
 def test_confusion_matrix_ideal_single_segment():
-    cm = confusion_matrix(
-        run_coherent_ideal(ProtocolSpec(1, [np.pi])),
-        run_coherent_ideal(ProtocolSpec(1, [0.0])),
-    )
-    assert cm.tpr == pytest.approx(0.5, abs=1e-12)
-    assert cm.fnr == pytest.approx(0.5, abs=1e-12)
-    assert cm.fpr == pytest.approx(0.0, abs=1e-12)
-    assert cm.tnr == pytest.approx(1.0, abs=1e-12)
-    assert cm.tpr + cm.fnr == pytest.approx(1.0, abs=1e-12)
-    assert cm.fpr + cm.tnr == pytest.approx(1.0, abs=1e-12)
+    # pr_nr at full strength gives (tpr, fnr), at zero strength (fpr, tnr)
+    tpr, fnr = pr_nr(run_coherent_ideal(ProtocolSpec(1, [np.pi])))
+    fpr, tnr = pr_nr(run_coherent_ideal(ProtocolSpec(1, [0.0])))
+    assert tpr == pytest.approx(0.5, abs=1e-12)
+    assert fnr == pytest.approx(0.5, abs=1e-12)
+    assert fpr == pytest.approx(0.0, abs=1e-12)
+    assert tnr == pytest.approx(1.0, abs=1e-12)
 
 
 def test_confusion_matrix_ideal_fpr_zero_for_all_sizes():
@@ -102,10 +94,11 @@ def test_confusion_matrix_ideal_fpr_zero_for_all_sizes():
 def test_confusion_matrix_dissipative_close_to_ideal():
     at_pi = run_coherent_dissipative(ProtocolSpec(1, [np.pi], model="lindblad", decoherence=SAMPLE_1))
     at_zero = run_coherent_dissipative(ProtocolSpec(1, [0.0], model="lindblad", decoherence=SAMPLE_1))
-    cm = confusion_matrix(at_pi, at_zero)
-    assert cm.tpr == pytest.approx(0.5, abs=0.03)
-    assert cm.fpr < 0.08
-    assert cm.tnr > 0.9
+    tpr, _ = pr_nr(at_pi)
+    fpr, tnr = pr_nr(at_zero)
+    assert tpr == pytest.approx(0.5, abs=0.03)
+    assert fpr < 0.08
+    assert tnr > 0.9
 
 
 def test_efficiency_reference_points():
@@ -139,41 +132,14 @@ def test_cumulative_absorption_coherent_advantage():
     assert coh < proj
 
 
-def test_plateau_area():
-    grid = np.linspace(0.0, np.pi, 400)
-    assert plateau_area(grid, np.zeros_like(grid)) == 0.0
-    p0 = np.sin(grid / 4) ** 4
-    oracle, _ = quad(lambda t: np.sin(t / 4) ** 4, 0.0, np.pi, epsabs=1e-14)
-    assert oracle == pytest.approx(3 * np.pi / 8 - 1, abs=1e-10)
-    assert plateau_area(grid, p0) == pytest.approx(oracle, abs=1e-4)
-    with pytest.raises(ValueError):
-        plateau_area(grid, p0[:-1])
-    with pytest.raises(ValueError):
-        plateau_area(grid[::-1], p0)
-
-
 def test_plateau_area_grows_with_protocol_size():
     grid = np.linspace(0.0, np.pi, 200)
 
     def area(n):
         values = [run_coherent_ideal(ProtocolSpec(n, [t] * n)).p0 for t in grid]
-        return plateau_area(grid, values)
+        return np.trapezoid(values, grid)
 
     assert area(10) > area(3)
-
-
-def test_distribution_stats():
-    assert distribution_stats([4.2] * 7) == (pytest.approx(4.2), pytest.approx(0.0))
-    assert distribution_stats([0.0, 1.0]) == (pytest.approx(0.5), pytest.approx(0.5))
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(size=101)
-    mean, std = distribution_stats(xs)
-    brute_mean = sum(xs) / len(xs)
-    brute_std = np.sqrt(sum((x - brute_mean) ** 2 for x in xs) / len(xs))
-    assert mean == pytest.approx(brute_mean, abs=1e-12)
-    assert std == pytest.approx(brute_std, abs=1e-12)
-    with pytest.raises(ValueError):
-        distribution_stats([])
 
 
 def test_sample_shots_deterministic_and_degenerate():
@@ -206,14 +172,6 @@ def test_shot_counts_fractions():
     assert counts.fractions() == pytest.approx([0.1, 0.2, 0.7])
 
 
-def test_dark_count_rate():
-    assert dark_count_rate(0.0, 4.3e-6) == 0.0
-    # 0.43 false positives over a 4.3 us sequence is 0.1 counts per us
-    assert dark_count_rate(0.43, 4.3e-6) == pytest.approx(0.1e6)
-    with pytest.raises(ValueError):
-        dark_count_rate(0.1, 0.0)
-
-
 def test_dark_count_rate_full_sequence():
     # zero-strength run on the long-protocol device: false positives come
     # from decoherence alone; the 25-segment sequence lasts 4.256 us
@@ -226,5 +184,5 @@ def test_dark_count_rate_full_sequence():
         ProtocolSpec(25, [0.0] * 25, model="lindblad_depol", decoherence=SAMPLE_2, pulse_geometry=geo)
     )
     fpr, _ = pr_nr(p)
-    rate = dark_count_rate(fpr, geo.total_duration(25, [0.0] * 25))
+    rate = fpr / (26 * geo.s_duration + 25 * geo.b_duration)  # false positives per second
     assert rate * 1e-6 == pytest.approx(0.1, abs=0.05)  # counts per microsecond

@@ -15,7 +15,6 @@ from ifdsim.protocol import (
     ideal_states,
     large_n_residual,
     projective_closed_form,
-    reconstruct_amplitudes,
     run_coherent_dissipative,
     run_coherent_ideal,
     run_projective,
@@ -238,10 +237,12 @@ def test_expansion_tables_single_segment():
 def test_expansion_reconstruction_matches_recursion():
     grid = np.linspace(0.0, 4 * np.pi, 50)
     for n in range(1, 26):
-        tables = expansion_coefficients(n)
+        ca, cb, cg = expansion_coefficients(n)
+        k = np.arange(n + 1)
         for theta in grid:
             expected = amplitude_recursion(n, [theta] * n)[-1]
-            got = reconstruct_amplitudes(tables, theta)
+            cos_k, sin_k = np.cos(k * theta / 2), np.sin(k * theta / 2)
+            got = (ca @ cos_k, cb @ cos_k, cg @ sin_k)
             assert np.max(np.abs(np.array(got) - np.array(expected))) < 1e-9
 
 

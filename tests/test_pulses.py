@@ -9,12 +9,11 @@ from ifdsim.pulses import (
     PulseGeometry,
     amplitude_for_beamsplitter,
     amplitude_for_bpulse,
-    duration_for_theta,
     effective_area,
-    envelope_value,
     geometry_for_n,
     sample_waveform,
     stretched_duration,
+    super_gaussian,
 )
 from ifdsim.su3 import b_pulse, beam_splitter
 
@@ -24,11 +23,10 @@ TAU_C = 28e-9
 
 def test_envelope_values():
     p = PulseEnvelope(omega0=2.0e8, tau=TAU, tau_c=TAU_C)
-    assert envelope_value(p, 0.0) == pytest.approx(2.0e8)
-    assert envelope_value(p, TAU) == pytest.approx(2.0e8 * np.exp(-0.5))
-    assert envelope_value(p, 1.5 * TAU_C) == 0.0
+    assert p.omega0 * super_gaussian(0.0, p.tau) == pytest.approx(2.0e8)
+    assert p.omega0 * super_gaussian(TAU, p.tau) == pytest.approx(2.0e8 * np.exp(-0.5))
     ts = np.linspace(-TAU_C, TAU_C, 57)
-    assert np.allclose(envelope_value(p, ts), envelope_value(p, -ts))
+    assert np.allclose(super_gaussian(ts, p.tau), super_gaussian(-ts, p.tau))
 
 
 def test_envelope_validation():
@@ -110,7 +108,7 @@ def test_sample_waveform_spans_the_pulse_at_any_rate():
     assert wf.t_start == pytest.approx(-TAU_C, rel=1e-12)
     assert wf.t_end == pytest.approx(TAU_C, rel=1e-12)
     times = wf.t_start + wf.dt * np.arange(len(wf.samples))
-    assert wf.samples == pytest.approx(envelope_value(p, times), rel=1e-12)
+    assert wf.samples == pytest.approx(p.omega0 * super_gaussian(times, p.tau), rel=1e-12)
     assert wf.samples[20] == pytest.approx(1.0e8)
 
 
@@ -121,7 +119,7 @@ def test_sample_waveform_keeps_the_generator_step():
         wf = sample_waveform(p, sampling_rate=1e9)
         assert wf.dt == 1e-9
         ts = -p.tau_c + 1e-9 * np.arange(len(wf.samples))
-        assert np.array_equal(wf.samples[1:-1], envelope_value(p, ts[1:-1]))
+        assert np.array_equal(wf.samples[1:-1], p.omega0 * super_gaussian(ts[1:-1], p.tau))
         # The last grid time rounds past tau_c; its sample is kept, not zeroed.
         assert wf.samples[-1] == pytest.approx(wf.samples[0], rel=1e-12)
 
@@ -136,16 +134,17 @@ def test_waveform_interpolation():
 
 
 def test_duration_for_theta_table():
-    assert duration_for_theta(np.pi) == pytest.approx((14e-9, 28e-9))
-    assert duration_for_theta(3.38 * np.pi) == pytest.approx((14e-9, 28e-9))
-    assert duration_for_theta(4 * np.pi) == pytest.approx((61e-9 / 4, 61e-9 / 2))
-    tau, tau_c = duration_for_theta(3.5 * np.pi)
-    assert tau * 4 * 1e9 == pytest.approx(57) or tau * 4 * 1e9 == pytest.approx(58)
+    assert stretched_duration(np.pi) == pytest.approx(56e-9)
+    assert stretched_duration(3.38 * np.pi) == pytest.approx(56e-9)
+    assert stretched_duration(4 * np.pi) == pytest.approx(61e-9)
+    assert round(float(stretched_duration(3.5 * np.pi)) * 1e9) in (57, 58)
+    tau, tau_c = PulseGeometry().b_shape(3.5 * np.pi)
+    assert 4 * tau == stretched_duration(3.5 * np.pi)
     assert tau_c == pytest.approx(2 * tau)
     with pytest.raises(ValueError):
-        duration_for_theta(-0.1)
+        stretched_duration(-0.1)
     with pytest.raises(ValueError):
-        duration_for_theta(4.01 * np.pi)
+        stretched_duration(4.01 * np.pi)
 
 
 def test_stretch_rule_array_form_matches_scalar_calls():
@@ -153,7 +152,7 @@ def test_stretch_rule_array_form_matches_scalar_calls():
     totals = stretched_duration(thetas)
     assert sorted(set(np.round(totals * 1e9).astype(int))) == [56, 57, 58, 59, 60, 61]
     for theta, total in zip(thetas, totals):
-        assert duration_for_theta(theta) == (total / 4.0, total / 2.0)
+        assert stretched_duration(theta) == total
     for geo in (PulseGeometry(), PulseGeometry(b_duration=112e-9), PulseGeometry(stretch_long_pulses=False)):
         tau, tau_c = geo.b_shape(thetas)
         assert [(a, b) for a, b in zip(tau, tau_c)] == [geo.b_shape(t) for t in thetas]
@@ -183,7 +182,7 @@ def test_duration_stretch_lowers_amplitude():
     area_56 = effective_area(14e-9, 28e-9)
     ceiling = amplitude_for_bpulse(4 * np.pi, effective_area(61e-9 / 4, 61e-9 / 2))
     for theta in np.linspace(3.39 * np.pi, 4 * np.pi, 12):
-        tau, tau_c = duration_for_theta(theta)
+        tau, tau_c = PulseGeometry().b_shape(theta)
         amp = amplitude_for_bpulse(theta, effective_area(tau, tau_c))
         assert amp <= amplitude_for_bpulse(theta, area_56)
         assert amp <= ceiling * 1.0001
@@ -192,7 +191,7 @@ def test_duration_stretch_lowers_amplitude():
 @pytest.mark.parametrize("theta_pi", [0.25, 1.0, 2.0, 3.0, 3.9])
 def test_calibration_round_trip(theta_pi):
     theta = theta_pi * np.pi
-    tau, tau_c = duration_for_theta(theta)
+    tau, tau_c = PulseGeometry().b_shape(theta)
     area = effective_area(tau, tau_c)
     wf = sample_waveform(
         PulseEnvelope(omega0=amplitude_for_bpulse(theta, area), tau=tau, tau_c=tau_c, transition="12")
@@ -211,7 +210,3 @@ def test_geometry_defaults():
     assert long.b_shape(3.9 * np.pi) == (28e-9, 56e-9)
     assert geo.b_shape(3.9 * np.pi)[0] > 14e-9
 
-
-def test_total_duration():
-    geo = PulseGeometry(b_duration=112e-9)
-    assert geo.total_duration(25, [np.pi] * 25) == pytest.approx(26 * 56e-9 + 25 * 112e-9)

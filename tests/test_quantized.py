@@ -212,6 +212,26 @@ def test_composite_state_validation():
     assert state.qutrit_marginals() == pytest.approx([1.0, 0.0, 0.0])
 
 
+def test_truncation_leakage_reads_the_top_fock_level_of_each_mode():
+    # 0.6 on the top Fock level of one mode axis (0.8 on the vacuum) is the
+    # leakage, at any qutrit level; the qutrit's own top level |2> is not.
+    for dims in ((4,), (3, 4)):
+        shape = dims + (3,)
+        for axis in range(len(dims)):
+            for level in range(3):
+                amps = np.zeros(shape, dtype=complex)
+                amps[(0,) * len(shape)] = 0.8
+                top = [1] * len(dims) + [level]
+                top[axis] = dims[axis] - 1
+                amps[tuple(top)] = 0.6j
+                assert CompositeState(amps, dims).truncation_leakage() == pytest.approx(0.6)
+        amps = np.zeros(shape, dtype=complex)
+        amps[(0,) * len(dims) + (2,)] = 1.0
+        assert CompositeState(amps, dims).truncation_leakage() == 0.0
+    state = run_single_mode(3, 2, FieldCoupling(g=1.1, t_b=0.9))
+    assert state.truncation_leakage() == 0.0
+
+
 def test_field_coupling_validation():
     with pytest.raises(ValueError):
         FieldCoupling(g=-1.0, t_b=1.0)

@@ -6,8 +6,6 @@ from scipy.linalg import expm
 from ifdsim.su3 import (
     DensityMatrix,
     PureState,
-    apply_unitary,
-    apply_unitary_rho,
     b_pulse,
     beam_splitter,
     gellmann,
@@ -166,8 +164,7 @@ def test_generated_unitaries_are_unitary(theta, n):
 
 def test_apply_unitary_identity_and_splitter():
     psi = PureState.basis(0)
-    assert apply_unitary(np.eye(3, dtype=complex), psi).overlap(psi) > 1 - 1e-12
-    plus = apply_unitary(beam_splitter(1), psi)
+    plus = PureState(beam_splitter(1) @ psi.vector)
     target = PureState(np.array([1, 1, 0]) / np.sqrt(2))
     assert plus.overlap(target) > 1 - 1e-12
 
@@ -175,7 +172,7 @@ def test_apply_unitary_identity_and_splitter():
 def test_apply_unitary_full_single_segment_state():
     theta = 1.3
     u = beam_splitter(1) @ b_pulse(theta) @ beam_splitter(1)
-    out = apply_unitary(u, PureState.basis(0))
+    out = PureState(u @ PureState.basis(0).vector)
     expected = PureState(
         np.array(
             [
@@ -188,25 +185,12 @@ def test_apply_unitary_full_single_segment_state():
     assert out.overlap(expected) > 1 - 1e-12
 
 
-def test_apply_unitary_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        apply_unitary(np.diag([1.0, 1.0, 0.5]).astype(complex), PureState.basis(0))
-
-
 @given(angles, angles)
 @settings(max_examples=40, deadline=None)
 def test_norm_preserved(theta1, theta2):
     u = beam_splitter(3) @ b_pulse(theta1) @ beam_splitter(3) @ b_pulse(theta2)
-    out = apply_unitary(u, PureState(np.array([0.6, 0.48j, 0.64])))
-    assert abs(np.linalg.norm(out.vector) - 1.0) < 1e-10
-
-
-def test_apply_unitary_rho_matches_pure_conjugation():
-    psi = PureState(np.array([0.6, 0.8j, 0.0]))
-    u = beam_splitter(2) @ b_pulse(0.9)
-    rho_out = apply_unitary_rho(u, psi.density())
-    psi_out = apply_unitary(u, psi)
-    assert np.max(np.abs(rho_out.matrix - psi_out.density().matrix)) < 1e-12
+    out = u @ PureState(np.array([0.6, 0.48j, 0.64])).vector
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_pure_state_validation():
