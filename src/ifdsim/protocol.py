@@ -183,69 +183,68 @@ def run_coherent_ideal(spec: ProtocolSpec) -> OutcomeProbabilities:
 # ---------------------------------------------------------------------------
 
 class ProbeMaps:
-    """Every probe segment of a sweep as a 9 x 9 map on vec(rho), built once.
+    """Probe segments as 9 x 9 maps on vec(rho), built once for a set of strengths.
 
-    thetas has shape (rows, positions). A probe's key is its shape,
-    found by its duration tau alone (b_shape gives tau_c = 2 tau), and
-    its substep group g (:func:`ifdsim.dynamics.substep_counts`, group
-    width w), in which its RK4 map is a smooth function of the
-    amplitude a. A key with fewer distinct amplitudes than
-    CHEBYSHEV_NODES takes those amplitudes as its nodes, and each probe
-    gets the exact map of its own amplitude. Any other key takes
-    CHEBYSHEV_NODES Chebyshev points of ((g - 1) w, g w], which
-    interpolate its map to rounding level (Trefethen, Approximation
-    Theory and Approximation Practice, 2013), and each probe is mapped
-    by Clenshaw's recurrence in its amplitude. All of one shape's maps
-    come from one :func:`lindblad_segment_batch` call on the 9 basis
-    matrices at its nodes.
+    thetas holds the strengths to serve, in any shape. A probe's key is
+    its shape, found by its duration tau (b_shape gives tau_c = 2 tau),
+    and its substep group g (:func:`substep_counts`, width w), in which
+    its RK4 map is smooth in the amplitude a. A key with fewer distinct
+    amplitudes than CHEBYSHEV_NODES maps each probe exactly at its own
+    amplitude. Any other key interpolates its map from CHEBYSHEV_NODES
+    Chebyshev points of ((g - 1) w, g w] to rounding level (Trefethen,
+    Approximation Theory and Approximation Practice, 2013), summed by
+    Clenshaw's recurrence. All of one shape's maps come from one
+    :func:`lindblad_segment_batch` call on the 9 basis matrices.
     """
 
     def __init__(self, thetas, geometry: PulseGeometry, rates: ThermalRates, dt: float, phase: float = -np.pi / 2):
-        # Chebyshev coefficients of each map in x in [-1, 1]; an exact map
-        # is a series of one term. Each probe's table and its x:
-        self._tables = []
-        self._table = np.empty(thetas.shape, dtype=int)
-        self._x = np.zeros(thetas.shape)
+        # tau -> area; (tau, g) -> (exact nodes, their maps) or (None, Chebyshev coefficients in x)
+        self._geometry, self._dt, self._areas, self._maps = geometry, dt, {}, {}
         angles = np.pi * (np.arange(CHEBYSHEV_NODES) + 0.5) / CHEBYSHEV_NODES
         # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
         transform = (2.0 / CHEBYSHEV_NODES) * np.cos(np.outer(np.arange(CHEBYSHEV_NODES), angles))
         transform[0] *= 0.5
-        # b_shape gives tau_c = 2 tau exactly, so a shape is keyed by tau.
-        taus, _ = geometry.b_shape(thetas)
-        for tau in np.unique(taus):
-            cells, tau_c = taus == tau, 2.0 * tau
-            amps = amplitude_for_bpulse(thetas[cells], effective_area(tau, tau_c))
-            groups, width = substep_counts(amps, 2.0 * tau_c, dt)
-            table, x = np.empty(len(amps), dtype=int), np.zeros(len(amps))
-            keys = []  # (members, nodes, each member's table among the key's)
-            for g in np.unique(groups):
-                members = groups == g
-                nodes, which = np.unique(amps[members], return_inverse=True)
-                if len(nodes) >= CHEBYSHEV_NODES:
-                    nodes, which = (g - 0.5) * width + 0.5 * width * np.cos(angles), 0
-                    # each amplitude's place in its group's interval, mapped to [-1, 1]
-                    x[members] = 2.0 * (amps[members] / width - (g - 0.5))
-                keys.append((members, nodes, which))
-            nodes = np.concatenate([key[1] for key in keys])
+        shapes = {}  # tau -> [(key, nodes)], groups ascending
+        for key, _, amps, width in self._keys(np.unique(thetas)):
+            nodes = np.unique(amps)
+            if len(nodes) >= CHEBYSHEV_NODES:
+                nodes = (key[1] - 0.5) * width + 0.5 * width * np.cos(angles)
+            shapes.setdefault(key[0], []).append((key, nodes))
+        for tau, keys in shapes.items():
+            nodes = np.concatenate([nodes for _, nodes in keys])
             basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(nodes), 9, 3, 3))
-            maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, tau_c, rates, dt, phase)
-            maps = maps.reshape(-1, 9, 9)
-            for members, nodes, which in keys:
+            maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, 2 * tau, rates, dt, phase).reshape(-1, 9, 9)
+            for key, nodes in keys:
                 block, maps = maps[: len(nodes)], maps[len(nodes) :]
-                table[members] = len(self._tables) + which
-                if len(nodes) < CHEBYSHEV_NODES:
-                    self._tables.extend(block[:, None])
-                else:
-                    self._tables.append(np.einsum("jk,kab->jab", transform, block))
-            self._table[cells], self._x[cells] = table, x
+                exact = len(nodes) < CHEBYSHEV_NODES
+                self._maps[key] = (nodes, block) if exact else (None, np.einsum("jk,kab->jab", transform, block))
 
-    def apply(self, vec: np.ndarray, j: int) -> np.ndarray:
-        """Rows of vec(rho), shape (rows, 9), through the probes at position j."""
-        out = np.empty(vec.shape, dtype=np.result_type(vec, *self._tables))
-        column = self._table[:, j]
-        for t in np.unique(column):
-            rows = column == t
-            out[rows] = _clenshaw(vec[rows], self._x[rows, j, None], self._tables[t])
+    def _keys(self, thetas: np.ndarray):
+        """Each (tau, g) key among the 1-d thetas, with its entries' indices and amplitudes, and w."""
+        taus, _ = self._geometry.b_shape(thetas)
+        for tau in np.unique(taus):
+            if tau not in self._areas:
+                self._areas[tau] = effective_area(tau, 2 * tau)
+            on_shape = np.flatnonzero(taus == tau)
+            amps = amplitude_for_bpulse(thetas[on_shape], self._areas[tau])
+            groups, width = substep_counts(amps, 4 * tau, self._dt)
+            for g in np.unique(groups):
+                yield (tau, g), on_shape[groups == g], amps[groups == g], width
+
+    def apply(self, vec: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """Rows of vec(rho), shape (rows, 9), each through the probe of its strength in thetas (rows,)."""
+        out = np.empty(vec.shape, dtype=np.result_type(vec, *(maps for _, maps in self._maps.values())))
+        for key, rows, amps, width in self._keys(thetas):
+            nodes, maps = self._maps[key]
+            if nodes is None:
+                # each amplitude's place in its group's interval, mapped to [-1, 1]
+                out[rows] = _clenshaw(vec[rows], 2.0 * (amps[:, None] / width - (key[1] - 0.5)), maps)
+                continue
+            which = np.searchsorted(nodes, amps)
+            if not np.array_equal(nodes[np.minimum(which, len(nodes) - 1)], amps):
+                raise ValueError("a strength of an exact key has no map; build ProbeMaps from every strength")
+            for k in np.unique(which):
+                out[rows[which == k]] = _clenshaw(vec[rows[which == k]], 0.0, maps[k : k + 1])
         return out
 
 
@@ -276,10 +275,9 @@ def dissipative_sweep(
     The beam-splitter segment is the same for every row and every
     position, so its 9 x 9 map on vec(rho) is integrated once and applied
     as one matmul. A probe segment's map depends only on its shape and
-    amplitude; :class:`ProbeMaps` builds every probe's map once per
-    sweep, exact at a key's own amplitudes where it has few, else
-    interpolated in the amplitude. After every segment each row is
-    checked to be a density matrix (:func:`check_density_batch`).
+    amplitude; :class:`ProbeMaps` builds the sweep's maps once, and probe
+    j applies them by its column of strengths, thetas[:, j]. After every
+    segment each row is checked to be a density matrix (:func:`check_density_batch`).
     Returns the final density matrices with shape (batch, 3, 3), real
     when the initial state is; with collect_checkpoints=True also a list
     of per-checkpoint copies (initial state plus one entry per applied
@@ -323,7 +321,7 @@ def dissipative_sweep(
 
     run_s(0)
     for j in range(n_segments):
-        rho = probes.apply(rho.reshape(batch, 9), j).reshape(batch, 3, 3)
+        rho = probes.apply(rho.reshape(batch, 9), thetas[:, j]).reshape(batch, 3, 3)
         if depolarize:
             rho = apply_depolarizing(rho, epsilon_for_theta(thetas[:, j]))
         finish_segment(f"probe {j + 1} of {n_segments}")

@@ -171,10 +171,12 @@ def _probabilities(
 
 
 def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> list[tuple]:
-    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c), built from columns."""
+    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c) from columns; eta_c is nan where p0 + p2 = 0."""
     probs = OutcomeProbabilities(*p.T)
     pr, nr = pr_nr(probs)
-    eta = efficiency(probs.p0, probs.p2)
+    conclusive = probs.p0 + probs.p2 > 0.0
+    eta = np.full(len(p), np.nan)
+    eta[conclusive] = efficiency(probs.p0[conclusive], probs.p2[conclusive])
     return list(zip(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, eta))
 
 

@@ -368,6 +368,12 @@ def test_every_public_name_is_reached():
     assert unreached == []
 
 
+DECOHERENCE_FREE = "model.kind = lindblad\n" + "".join(
+    f"decoherence.{key} = 0\n"
+    for key in ("gamma10_hz", "gamma21_hz", "gphi10_hz", "gphi21_hz", "gphi02_hz", "temperature_k")
+)
+
+
 # Small fixed value sets per key. Sizes stay tiny wherever a dissipative
 # model may run: the multi sweeps always get sweep.m and an n_max of at
 # most 3, n2_map always gets sweep.points and majorana_trajectory
@@ -427,6 +433,7 @@ def config_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @example(case=("coefficients", "sweep.n_max = 30\n"))
+@example(case=("n2_map", DECOHERENCE_FREE + "sweep.points = 5\n"))
 @given(case=config_cases())
 def test_cli_exit_code_contract_on_random_configs(case):
     # Any config text ends in exit 0, 2 or 3, never in a traceback, and a
@@ -628,12 +635,6 @@ def test_n1_sweep_dissipative_with_stretch_region(tmp_path):
     assert all(abs(t - 1.0) < 1e-6 for t in totals)
 
 
-DECOHERENCE_FREE = "model.kind = lindblad\n" + "".join(
-    f"decoherence.{key} = 0\n"
-    for key in ("gamma10_hz", "gamma21_hz", "gphi10_hz", "gphi21_hz", "gphi02_hz", "temperature_k")
-)
-
-
 @pytest.mark.parametrize(
     "scenario, text",
     [("n1_sweep", ""), ("n2_map", ""), ("majorana_trajectory", "protocol.n = 2\nprotocol.thetas_pi = 1\n")],
@@ -644,6 +645,17 @@ def test_cli_decoherence_free_dissipative_run_exits_0(tmp_path, scenario, text):
     # system up to 1e-6 below it, inside the density check's bound.
     cfg = write(tmp_path, "free.cfg", DECOHERENCE_FREE + text)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_decoherence_free_n2_map_writes_nan_where_eta_c_is_undefined(tmp_path):
+    # At theta = (0, 0) the probes do nothing and S_2^3 sends |0> to |1>:
+    # p0 and p2 are exactly 0, so eta_c = p0 / (p0 + p2) has no value.
+    cfg = write(tmp_path, "free.cfg", DECOHERENCE_FREE + "sweep.points = 5\n")
+    assert main(["n2_map", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    headers, rows = read_csv(tmp_path / "o" / "n2_map.csv")
+    assert rows[0][:2] == ["0", "0"] and rows[0][-1] == "nan"
+    p0, p2, eta = (np.array([float(r[headers.index(h)]) for r in rows[1:]]) for h in ("p0", "p2", "eta_c"))
+    np.testing.assert_allclose(eta, p0 / (p0 + p2), rtol=1e-10, atol=0)
 
 
 def test_decoherence_free_n1_sweep_matches_ideal(tmp_path):

@@ -28,7 +28,8 @@ from ifdsim.dynamics import (
     thermal_rates,
     thermal_state,
 )
-from ifdsim import protocol
+from ifdsim import protocol, scenarios
+from ifdsim.config import ExperimentConfig
 from ifdsim.protocol import ProbeMaps, dissipative_sweep
 from ifdsim.pulses import PulseEnvelope, PulseGeometry, effective_area, sample_waveform
 from ifdsim.su3 import DensityMatrix, PureState, b_pulse, beam_splitter, subspace_pauli
@@ -450,7 +451,7 @@ def probe_map_error(duration_ns, phase, model, seed, amps, exact):
     rates = thermal_rates(model)
     direct = lindblad_segment_batch(rho, amps, "12", tau, tau_c, rates, phase=phase)
     probes = ProbeMaps(thetas[:, None], geometry, rates, 1e-9, phase)
-    mapped = probes.apply(rho.reshape(-1, 9), 0).reshape(-1, 3, 3)
+    mapped = probes.apply(rho.reshape(-1, 9), thetas).reshape(-1, 3, 3)
     assert np.iscomplexobj(mapped) == complex_
     return np.max(np.abs(mapped - direct))
 
@@ -497,6 +498,37 @@ def test_exact_probe_map_matches_segment(duration_ns, phase, model, fraction, se
         [[0.0], groups * width, np.nextafter((groups - 1) * width, np.inf), (groups - 1 + fraction) * width]
     )
     assert probe_map_error(duration_ns, phase, model, seed, amps, exact=True) <= 1e-13
+
+
+def test_probe_maps_are_keyed_by_strength():
+    # A build over the strengths of several sweeps maps every column of
+    # each sweep bit-for-bit like a build over that sweep alone, and a
+    # row's result does not depend on its place in the column. The extra
+    # strengths keep each key of the identical grid on its side of the
+    # exact/interpolated rule: its 8 strengths in substep group 2 become
+    # 15, group 1 is interpolated either way, and groups 3 and 4 are new.
+    geometry, rates = PulseGeometry(b_duration=112e-9), thermal_rates(SAMPLE_2)
+    config = ExperimentConfig("multi_random", rng_seed=1)
+    random_sweeps = [scenarios._random_thetas(config, n, 400) for n in (24, 25)]
+    grid = np.arange(1, 181) * np.pi / 180
+    rng = np.random.default_rng(5)
+    extra = np.concatenate([rng.uniform(0.1, 0.9, 5), rng.uniform(1.01, 1.9, 7), rng.uniform(2.0, 3.8, 20)]) * np.pi
+    vec = rng.standard_normal((400, 9))
+    # (the strengths of one build, the sweeps it must map like their own builds)
+    cases = ((random_sweeps, random_sweeps), ([grid, extra], [grid[:, None]]))
+    for strengths, sweeps in cases:
+        pooled = ProbeMaps(np.concatenate([t.ravel() for t in strengths]), geometry, rates, 1e-9)
+        for thetas in sweeps:
+            alone = ProbeMaps(thetas, geometry, rates, 1e-9)
+            rows = vec[: len(thetas)]
+            for column in thetas.T:
+                mapped = pooled.apply(rows, column)
+                np.testing.assert_array_equal(mapped, alone.apply(rows, column))
+                perm = rng.permutation(len(column))
+                np.testing.assert_array_equal(pooled.apply(rows[perm], column[perm]), mapped[perm])
+    # A strength of an exact key that the build did not see has no map.
+    with pytest.raises(ValueError, match="has no map"):
+        ProbeMaps(grid, geometry, rates, 1e-9).apply(vec[:1], extra[5:6])
 
 
 def breaking_probe_node(node):
