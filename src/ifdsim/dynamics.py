@@ -23,16 +23,19 @@ vec(A rho B) = (A kron B^T) vec(rho). One segment is
 d vec(rho)/dt = (a e(t) L_H + L_D) vec(rho): a fixed unit-amplitude drive
 term L_H = -i (G kron I - I kron G^T), scaled by the pulse amplitude a and
 envelope e(t), plus the constant dissipator L_D (:func:`liouvillian`).
-At the default drive phase -pi/2 the generator G is imaginary, so L_H is
-real, and L_D is always real; thermal, ground and level-1 starts are real
-too, so RK4 runs in real arithmetic. Complex states and other phases go
-through the same code in complex arithmetic. Every segment is a linear
-map on vec(rho), so :func:`ifdsim.protocol.dissipative_sweep` integrates
-only the 9 basis matrices: the beam splitter once per sweep as a 9 x 9
-matrix, and each probe shape once per sweep at the amplitudes of each
-substep group (:func:`substep_counts`): at its own amplitudes where the
-group has fewer than 16, else at 16 Chebyshev nodes from which every
-row's map is interpolated.
+Every drive is G = sigma^y_kl / 2 on its transition, as in
+:mod:`ifdsim.su3`: a fixed drive phase is the gauge diag(1, e^{ia}, e^{ib}),
+which commutes with the diagonal start states and the pairwise
+dissipator and so moves no population. G is imaginary, so L_H is real,
+as is L_D; thermal, ground and level-1 starts are real too, so RK4 runs
+in real arithmetic, and complex states run through the same code in
+complex arithmetic. Every segment is a linear map on vec(rho), so
+:func:`ifdsim.protocol.dissipative_sweep` integrates only the 9 basis
+matrices: the beam splitter once per sweep as a 9 x 9 matrix, and each
+probe shape once per sweep at the amplitudes of each substep group
+(:func:`substep_counts`): at its own amplitudes where the group has
+fewer than 16, else at 16 Chebyshev nodes from which every row's map is
+interpolated.
 
 The same RK4 loop also runs the sampled-waveform propagators:
 :func:`propagate_lindblad` on the same superoperators, and
@@ -49,7 +52,7 @@ import numpy as np
 
 from . import NumericToleranceError
 from .pulses import SampledWaveform, grid_steps, super_gaussian
-from .su3 import DensityMatrix, Operator3
+from .su3 import DensityMatrix, Operator3, gellmann
 
 # Exact SI values since 2019: hbar = h / 2 pi and the Boltzmann constant.
 HBAR = 6.62607015e-34 / (2 * np.pi)
@@ -278,11 +281,7 @@ def lindblad_general_rhs(rho: np.ndarray, h: np.ndarray, model: DecoherenceModel
 
 @dataclass(frozen=True)
 class DriveHamiltonianSpec:
-    """One sampled drive, on the 0-1 (wave01) or the 1-2 (wave12) transition.
-
-    The waveform's own transition must match its keyword. The drive
-    phase is the waveform's.
-    """
+    """One sampled drive, on the 0-1 (wave01) or the 1-2 (wave12) transition."""
 
     wave01: SampledWaveform | None = None
     wave12: SampledWaveform | None = None
@@ -290,11 +289,6 @@ class DriveHamiltonianSpec:
     def __post_init__(self):
         if (self.wave01 is None) == (self.wave12 is None):
             raise ValueError("a drive spec holds exactly one of wave01 and wave12")
-        if self.wave.transition != self.transition:
-            raise ValueError(
-                f"a {self.wave.transition} waveform passed as wave{self.transition}; "
-                f"pass it as wave{self.wave.transition}"
-            )
 
     @property
     def transition(self) -> str:
@@ -305,10 +299,10 @@ class DriveHamiltonianSpec:
         return self.wave01 if self.wave01 is not None else self.wave12
 
 
-def drive_generator(transition: str, phase: float = -np.pi / 2) -> Operator3:
-    """Dimensionless drive term (e^{i phase} |k><l| + h.c.)/2 for unit amplitude."""
+def drive_generator(transition: str) -> Operator3:
+    """Dimensionless drive term sigma^y_kl / 2 = i (|l><k| - |k><l|) / 2 for unit amplitude."""
     base = _S01 if transition == "01" else _S12
-    return 0.5 * (np.exp(1j * phase) * base + np.exp(-1j * phase) * base.conj().T)
+    return 0.5j * (base.T - base)
 
 
 def substep_counts(amps, span: float, dt: float) -> tuple[np.ndarray, float]:
@@ -400,7 +394,7 @@ def propagate_schrodinger(spec: DriveHamiltonianSpec) -> Operator3:
     The RK4 core integrates i du/dt = H(t) u on the three basis vectors,
     with generator -i G (:func:`drive_generator`) and no dissipator.
     """
-    gen = -1j * drive_generator(spec.transition, spec.wave.phase)
+    gen = -1j * drive_generator(spec.transition)
     u = _propagate_sampled(spec, np.eye(3, dtype=complex), gen, np.zeros((3, 3))).T
     defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
     if defect > 1e-6:
@@ -414,34 +408,27 @@ def propagate_lindblad(rho0: DensityMatrix, spec: DriveHamiltonianSpec, model: D
     The RK4 core integrates the superoperators of :func:`liouvillian`;
     the result must pass :func:`check_density_batch`.
     """
-    l_h, l_d = liouvillian(spec.transition, thermal_rates(model), spec.wave.phase)
+    l_h, l_d = liouvillian(spec.transition, thermal_rates(model))
     rho = _propagate_sampled(spec, np.reshape(rho0.matrix, (1, 9)), l_h, l_d).reshape(3, 3)
     check_density_batch(rho, "propagate_lindblad")
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
-def liouvillian(transition: str, rates: ThermalRates, phase: float = -np.pi / 2) -> tuple[np.ndarray, np.ndarray]:
-    """Superoperators (L_H, L_D) acting on the row-major vec(rho).
+def liouvillian(transition: str, rates: ThermalRates) -> tuple[np.ndarray, np.ndarray]:
+    """Superoperators (L_H, L_D) acting on the row-major vec(rho), both real.
 
     L_H is the unit-amplitude drive term -i[G, .] with G from
     :func:`drive_generator`, L_D the pairwise dissipator, so that
     a L_H vec(rho) + L_D vec(rho) = vec(lindblad_pairwise_rhs(rho, a G, rates)).
-    L_D is real, and L_H is real at the default phase -pi/2.
+    G is imaginary, so L_H is the real part of an exactly real product.
     """
-    gen = drive_generator(transition, phase)
+    gen = drive_generator(transition)
     eye = np.eye(3)
-    l_h = -1j * (np.kron(gen, eye) - np.kron(eye, gen.T))
+    l_h = (-1j * (np.kron(gen, eye) - np.kron(eye, gen.T))).real
     damping, popflow = _dissipator_arrays(rates)
     l_d = np.diag(-damping.ravel())
     diagonal = 4 * np.arange(3)  # positions of rho_00, rho_11, rho_22 in vec(rho)
     l_d[np.ix_(diagonal, diagonal)] += popflow
-    # cos(-pi/2) rounds to 6e-17, not 0. Entries of the unit-amplitude
-    # L_H are O(1), so parts below 1e-15 are rounding and are dropped:
-    # that makes L_H exactly real at the default phase.
-    l_h.real[np.abs(l_h.real) < 1e-15] = 0.0
-    l_h.imag[np.abs(l_h.imag) < 1e-15] = 0.0
-    if not np.any(l_h.imag):
-        l_h = l_h.real
     return l_h, l_d
 
 
@@ -453,7 +440,6 @@ def lindblad_segment_batch(
     tau_c: float,
     rates: ThermalRates,
     dt: float = 1e-9,
-    phase: float = -np.pi / 2,
 ) -> np.ndarray:
     """Propagate a batch of density matrices through one drive segment.
 
@@ -461,14 +447,14 @@ def lindblad_segment_batch(
     leading dimensions. The RK4 core runs on vec(rho) across
     [-tau_c, tau_c] with the analytic super-Gaussian envelope at the
     stage times and the superoperators of :func:`liouvillian`. The result
-    is real when rho and L_H are, complex otherwise.
+    is real when rho has no imaginary part, complex otherwise.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
     amps = np.broadcast_to(np.asarray(amplitudes, dtype=float), lead).ravel()
-    l_h, l_d = liouvillian(transition, rates, phase)
+    l_h, l_d = liouvillian(transition, rates)
     x = rho.reshape(-1, 9)
-    if np.iscomplexobj(x) and not np.any(x.imag) and not np.iscomplexobj(l_h):
+    if np.iscomplexobj(x) and not np.any(x.imag):
         x = x.real
     envelope = partial(super_gaussian, tau=tau)
     return _rk4_rows(x, amps, envelope, l_h, l_d, -tau_c, 2.0 * tau_c, dt).reshape(lead + (3, 3))
@@ -538,8 +524,6 @@ def _positive_pivots(h: np.ndarray, shift: float) -> np.ndarray:
 
 def depolarizing_kraus(epsilon: float) -> list[Operator3]:
     """The ten Kraus operators of the qutrit depolarizing channel."""
-    from .su3 import gellmann
-
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     root6 = np.sqrt(epsilon / 6.0)

@@ -40,9 +40,6 @@ class MajoranaStars:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    def pair(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.s1, self.s2
-
     def matches(self, other: "MajoranaStars", tol: float = 1e-8) -> bool:
         """Set equality of the two pairs, trying both labelings."""
         direct = max(

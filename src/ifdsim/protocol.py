@@ -197,7 +197,7 @@ class ProbeMaps:
     :func:`lindblad_segment_batch` call on the 9 basis matrices.
     """
 
-    def __init__(self, thetas, geometry: PulseGeometry, rates: ThermalRates, dt: float, phase: float = -np.pi / 2):
+    def __init__(self, thetas, geometry: PulseGeometry, rates: ThermalRates, dt: float):
         # tau -> area; (tau, g) -> (exact nodes, their maps) or (None, Chebyshev coefficients in x)
         self._geometry, self._dt, self._areas, self._maps = geometry, dt, {}, {}
         angles = np.pi * (np.arange(CHEBYSHEV_NODES) + 0.5) / CHEBYSHEV_NODES
@@ -213,7 +213,7 @@ class ProbeMaps:
         for tau, keys in shapes.items():
             nodes = np.concatenate([nodes for _, nodes in keys])
             basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(nodes), 9, 3, 3))
-            maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, 2 * tau, rates, dt, phase).reshape(-1, 9, 9)
+            maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, 2 * tau, rates, dt).reshape(-1, 9, 9)
             for key, nodes in keys:
                 block, maps = maps[: len(nodes)], maps[len(nodes) :]
                 exact = len(nodes) < CHEBYSHEV_NODES
@@ -232,8 +232,11 @@ class ProbeMaps:
                 yield (tau, g), on_shape[groups == g], amps[groups == g], width
 
     def apply(self, vec: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """Rows of vec(rho), shape (rows, 9), each through the probe of its strength in thetas (rows,)."""
-        out = np.empty(vec.shape, dtype=np.result_type(vec, *(maps for _, maps in self._maps.values())))
+        """Rows of vec(rho), shape (rows, 9), each through the probe of its strength in thetas (rows,).
+
+        The maps are real, so the result has the dtype of vec.
+        """
+        out = np.empty_like(vec)
         for key, rows, amps, width in self._keys(thetas):
             nodes, maps = self._maps[key]
             if nodes is None:

@@ -33,16 +33,12 @@ class PulseEnvelope:
     omega0: float  # peak drive amplitude, rad/s
     tau: float  # shape time constant, s
     tau_c: float  # truncation half-width, s
-    phase: float = -np.pi / 2
-    transition: str = "01"
 
     def __post_init__(self):
         if self.tau <= 0 or self.tau_c <= 0:
             raise ValueError("tau and tau_c must be positive")
         if self.omega0 < 0:
             raise ValueError("omega0 must be non-negative")
-        if self.transition not in ("01", "12"):
-            raise ValueError(f"transition must be '01' or '12', got {self.transition!r}")
 
 
 def super_gaussian(t, tau: float):
@@ -98,8 +94,6 @@ class SampledWaveform:
 
     dt: float
     samples: np.ndarray
-    phase: float = -np.pi / 2
-    transition: str = "01"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -157,12 +151,7 @@ def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLIN
     if abs(n_intervals * dt - span) > 1e-9 * dt:
         dt = span / n_intervals
     ts = -pulse.tau_c + dt * np.arange(n_intervals + 1)
-    return SampledWaveform(
-        dt=dt,
-        samples=pulse.omega0 * super_gaussian(ts, pulse.tau),
-        phase=pulse.phase,
-        transition=pulse.transition,
-    )
+    return SampledWaveform(dt=dt, samples=pulse.omega0 * super_gaussian(ts, pulse.tau))
 
 
 def stretched_duration(theta, base: float = STRETCH_BASE_NS * 1e-9):

@@ -170,13 +170,20 @@ def _probabilities(
     return populations(rho)
 
 
+def _ratios_or_nan(ratios, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ratios(a, b), one or more columns, on the rows where a + b > 0, and nan where a + b = 0."""
+    defined = a + b > 0.0
+    values = np.atleast_2d(ratios(a[defined], b[defined]))
+    out = np.full((len(values), len(a)), np.nan)
+    out[:, defined] = values
+    return out
+
+
 def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> list[tuple]:
-    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c) from columns; eta_c is nan where p0 + p2 = 0."""
+    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c) from columns; pr and nr are nan where p0 + p1 = 0."""
     probs = OutcomeProbabilities(*p.T)
-    pr, nr = pr_nr(probs)
-    conclusive = probs.p0 + probs.p2 > 0.0
-    eta = np.full(len(p), np.nan)
-    eta[conclusive] = efficiency(probs.p0[conclusive], probs.p2[conclusive])
+    pr, nr = _ratios_or_nan(lambda p0, p1: pr_nr(OutcomeProbabilities(p0, p1, 0.0)), probs.p0, probs.p1)
+    (eta,) = _ratios_or_nan(efficiency, probs.p0, probs.p2)
     return list(zip(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, eta))
 
 
@@ -315,7 +322,9 @@ def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
         for step, stars in enumerate(star_trajectory(states)):
             rows.append((step, mode, *stars.s1, *stars.s2))
 
-    ideal_init = PureState.basis(0).vector if kind != "ideal" else _initial_state(config)
+    # The reference starts from the configured pure state; a thermal start's is its dominant eigenvector |0>.
+    thermal = kind != "ideal" and config.get("protocol.initial", "thermal") == "thermal"
+    ideal_init = PureState.basis(0).vector if thermal else _initial_state(config)
     ideal = ideal_amplitudes(n, [thetas], ideal_init, checkpoints=True)[0]
     add("ideal", [PureState(v) for v in ideal])
     if kind != "ideal":

@@ -16,6 +16,7 @@ import ifdsim
 from ifdsim import ConfigError, NumericToleranceError, protocol, scenarios
 from ifdsim.cli import build_parser, main
 from ifdsim.config import KNOWN_KEYS, load_config, parse_config_text, point_seed
+from ifdsim.majorana import MajoranaStars
 from ifdsim.scenarios import CSV_NAMES, SCENARIOS, run_scenario
 
 
@@ -372,6 +373,11 @@ DECOHERENCE_FREE = "model.kind = lindblad\n" + "".join(
     f"decoherence.{key} = 0\n"
     for key in ("gamma10_hz", "gamma21_hz", "gphi10_hz", "gphi21_hz", "gphi02_hz", "temperature_k")
 )
+# A decoherence-free level-1 start whose run at (theta1, theta2) = (2 pi, pi)
+# ends in |2>: p0 and p1 both clip to exactly 0 there.
+ABSORBED_AT_2PI_PI = DECOHERENCE_FREE + (
+    "protocol.initial = level1\npulse.s_duration_ns = 40\npulse.b_duration_ns = 112\nsweep.points = 5\n"
+)
 
 
 # Small fixed value sets per key. Sizes stay tiny wherever a dissipative
@@ -434,6 +440,7 @@ def config_cases(draw):
 @settings(max_examples=60, deadline=None)
 @example(case=("coefficients", "sweep.n_max = 30\n"))
 @example(case=("n2_map", DECOHERENCE_FREE + "sweep.points = 5\n"))
+@example(case=("n2_map", ABSORBED_AT_2PI_PI))
 @given(case=config_cases())
 def test_cli_exit_code_contract_on_random_configs(case):
     # Any config text ends in exit 0, 2 or 3, never in a traceback, and a
@@ -656,6 +663,40 @@ def test_decoherence_free_n2_map_writes_nan_where_eta_c_is_undefined(tmp_path):
     assert rows[0][:2] == ["0", "0"] and rows[0][-1] == "nan"
     p0, p2, eta = (np.array([float(r[headers.index(h)]) for r in rows[1:]]) for h in ("p0", "p2", "eta_c"))
     np.testing.assert_allclose(eta, p0 / (p0 + p2), rtol=1e-10, atol=0)
+
+
+def test_n2_map_writes_nan_where_pr_and_nr_are_undefined(tmp_path):
+    # pr = p0 / (p0 + p1) and nr = p1 / (p0 + p1) have no value where every
+    # run is absorbed; every other row keeps its ratios.
+    cfg = write(tmp_path, "absorbed.cfg", ABSORBED_AT_2PI_PI)
+    assert main(["n2_map", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    headers, rows = read_csv(tmp_path / "o" / "n2_map.csv")
+    columns = ("theta1_rad", "theta2_rad", "p0", "p1", "pr", "nr")
+    t1, t2, p0, p1, pr, nr = (np.array([float(r[headers.index(h)]) for r in rows]) for h in columns)
+    undefined = (t1 == float("%.12g" % (2 * np.pi))) & (t2 == float("%.12g" % np.pi))
+    assert undefined.sum() == 1 and p0[undefined] == 0 and p1[undefined] == 0
+    assert np.isnan(pr[undefined]) and np.isnan(nr[undefined])
+    assert np.all(p0[~undefined] + p1[~undefined] > 0)
+    np.testing.assert_allclose(pr[~undefined], p0[~undefined] / (p0[~undefined] + p1[~undefined]), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(nr[~undefined], p1[~undefined] / (p0[~undefined] + p1[~undefined]), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("initial", ["ground", "level1"])
+def test_dissipative_majorana_reference_starts_from_the_configured_state(tmp_path, initial):
+    # The ideal rows of a dissipative run are the model.kind = ideal run's,
+    # and both modes start from the same star pair.
+    rows = {}
+    for kind in ("ideal", "lindblad"):
+        cfg = write(tmp_path, f"{kind}.cfg", f"model.kind = {kind}\nprotocol.initial = {initial}\nprotocol.n = 2\n")
+        assert main(["majorana_trajectory", "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+        rows[kind] = read_csv(tmp_path / kind / "majorana.csv")[1]
+    ideal = [r for r in rows["lindblad"] if r[1] == "ideal"]
+    assert ideal == rows["ideal"]
+    dominant = [r for r in rows["lindblad"] if r[1] == "dissipative_dominant"]
+    start = np.array([float(v) for v in ideal[0][2:]]).reshape(2, 3)
+    other = np.array([float(v) for v in dominant[0][2:]]).reshape(2, 3)
+    assert dominant[0][0] == ideal[0][0] == "0"
+    assert MajoranaStars(*start).matches(MajoranaStars(*other), tol=1e-6)
 
 
 def test_decoherence_free_n1_sweep_matches_ideal(tmp_path):

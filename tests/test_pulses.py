@@ -34,8 +34,6 @@ def test_envelope_validation():
         PulseEnvelope(omega0=1.0, tau=-1e-9, tau_c=TAU_C)
     with pytest.raises(ValueError):
         PulseEnvelope(omega0=-1.0, tau=TAU, tau_c=TAU_C)
-    with pytest.raises(ValueError):
-        PulseEnvelope(omega0=1.0, tau=TAU, tau_c=TAU_C, transition="02")
 
 
 def test_effective_area_reference_values():
@@ -82,7 +80,7 @@ def test_amplitude_calibration():
 def test_beamsplitter_amplitude_propagates_to_target_rotation(n):
     area = effective_area(TAU, TAU_C)
     amp = amplitude_for_beamsplitter(n, area)
-    wf = sample_waveform(PulseEnvelope(omega0=amp, tau=TAU, tau_c=TAU_C, transition="01"))
+    wf = sample_waveform(PulseEnvelope(omega0=amp, tau=TAU, tau_c=TAU_C))
     u = propagate_schrodinger(DriveHamiltonianSpec(wave01=wf))
     # an angle error delta shows up as a 2-norm distance ~ delta / 2
     assert operator_distance_2norm(u, beam_splitter(n)) < 2e-3
@@ -194,7 +192,7 @@ def test_calibration_round_trip(theta_pi):
     tau, tau_c = PulseGeometry().b_shape(theta)
     area = effective_area(tau, tau_c)
     wf = sample_waveform(
-        PulseEnvelope(omega0=amplitude_for_bpulse(theta, area), tau=tau, tau_c=tau_c, transition="12")
+        PulseEnvelope(omega0=amplitude_for_bpulse(theta, area), tau=tau, tau_c=tau_c)
     )
     u = propagate_schrodinger(DriveHamiltonianSpec(wave12=wf))
     assert operator_distance_2norm(u, b_pulse(theta)) < 0.02
