@@ -31,13 +31,17 @@ as is L_D; thermal, ground and level-1 starts are real too, so RK4 runs
 in real arithmetic, and complex states run through the same code in
 complex arithmetic. Every segment is a linear map on vec(rho), so
 :func:`ifdsim.protocol.dissipative_sweep` integrates only the 9 basis
-matrices: the beam splitter once per sweep as a 9 x 9 matrix, and each
-probe shape once per sweep at the amplitudes of each substep group
-(:func:`substep_counts`): at its own amplitudes where the group has
-fewer than 16, else at 16 Chebyshev nodes from which every row's map is
-interpolated.
+matrices: the beam splitter once per sweep as a 9 x 9 matrix, and every
+probe shape in one call per sweep at the amplitudes of each substep
+group (:func:`substep_counts`): at its own amplitudes where the group
+has fewer than 16, else at 16 Chebyshev nodes from which every row's map
+is interpolated.
 
-The same RK4 loop also runs the sampled-waveform propagators:
+One RK4 loop (:func:`_rk4_rows`) steps every row of a call, whatever its
+shape and substep group: each row keeps its own step count and step,
+rows are sorted longest first, and a row drops out of the loop once its
+steps are done, so a call costs its longest row's steps. The same loop
+also runs the sampled-waveform propagators:
 :func:`propagate_lindblad` on the same superoperators, and
 :func:`propagate_schrodinger` on state vectors with generator -i G and
 no dissipator.
@@ -318,20 +322,26 @@ def substep_counts(amps, span: float, dt: float) -> tuple[np.ndarray, float]:
     return counts, MAX_PHASE_PER_STEP / base_step
 
 
-def _rk4_rows(x, amps, envelope, l_h, l_d, t0: float, span: float, dt: float) -> np.ndarray:
-    """RK4 on dy/dt = (a e(t) L_H + L_D) y for every row y of x, over [t0, t0 + span].
+def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
+    """RK4 on dy/dt = (a e(t) L_H + L_D) y for every row y of x, each over its own shape.
 
-    x has shape (rows, d), amps holds each row's amplitude a, and
-    envelope is e(t) with peak 1, vectorised over t. The span is cut into
+    x has shape (rows, d) and amps holds each row's amplitude a. shapes
+    is a sequence of (envelope, t0, span), envelope being e(t) with peak
+    1 vectorised over t, and which holds each row's index into shapes:
+    the row runs over [t0, t0 + span] of its shape. A span is cut into
     grid_steps(span, dt) equal base steps, each split into the substeps
-    the row's amplitude needs (:func:`substep_counts`); rows are
-    integrated in substep groups, so each result is independent of how
-    the batch is composed. The result has the common dtype of x, L_H and
-    L_D.
+    the row's amplitude needs (:func:`substep_counts`), so a row of
+    substep group g takes n = grid_steps(span, dt) g steps of span / n,
+    with the envelope at its own nodes and midpoints. One loop steps
+    every row: rows are sorted by n, longest first, step i advances the
+    prefix of rows that still have steps left, and a finished row is
+    not touched again. A row's arithmetic depends only on its own shape,
+    amplitude and start, so each result is independent of how the batch
+    is composed, shapes included. The result has the common dtype of x,
+    L_H and L_D.
     """
     dtype = np.result_type(x, l_h, l_d)
     l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
-    n_base = grid_steps(span, dt)
 
     def rhs(y, drive):
         # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
@@ -340,34 +350,63 @@ def _rk4_rows(x, amps, envelope, l_h, l_d, t0: float, span: float, dt: float) ->
         k += l_d @ y
         return k
 
-    out = np.empty_like(x, dtype=dtype)
-    subcounts, _ = substep_counts(amps, span, dt)
-    for n_sub in np.unique(subcounts):
-        rows = subcounts == n_sub
-        n_steps = n_base * int(n_sub)
-        step = span / n_steps
-        nodes = t0 + step * np.arange(n_steps + 1)
-        env_node = envelope(nodes)
-        env_mid = envelope(nodes[:-1] + 0.5 * step)
-        a = amps[rows][None, :]
-        # One column per row: (d, d) @ (d, rows) products are the fast layout.
-        y = np.array(x[rows].T, dtype=dtype, order="C")
-        # An unstable step overflows to inf or nan without a warning;
-        # the caller's check reports the row.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                k1 = rhs(y, a * env_node[i])
-                k2 = rhs(y + (0.5 * step) * k1, a * env_mid[i])
-                k3 = rhs(y + (0.5 * step) * k2, a * env_mid[i])
-                k4 = rhs(y + step * k3, a * env_node[i + 1])
-                # y += step / 6 (k1 + 2 (k2 + k3) + k4), in place
+    # A schedule is one (shape, substep group) pair: its steps share
+    # their count, length and envelope samples.
+    schedule = np.empty(len(x), dtype=int)
+    schedules = []  # (shape index, step count)
+    for k, (_, _, span) in enumerate(shapes):
+        on_shape = np.flatnonzero(which == k)
+        subcounts, _ = substep_counts(amps[on_shape], span, dt)
+        groups, inverse = np.unique(subcounts, return_inverse=True)
+        schedule[on_shape] = len(schedules) + inverse
+        schedules += [(k, grid_steps(span, dt) * int(g)) for g in groups]
+    n_steps = np.array([n for _, n in schedules], dtype=int)
+    longest = int(n_steps.max(initial=0))
+    # Envelope samples, one column per schedule: e(t0 + i h) and e(t0 + (i + 1/2) h).
+    env_node = np.zeros((longest + 1, len(schedules)))
+    env_mid = np.zeros((longest, len(schedules)))
+    steps = np.empty(len(schedules))
+    for s, (k, n) in enumerate(schedules):
+        envelope, t0, span = shapes[k]
+        steps[s] = step = span / n
+        nodes = t0 + step * np.arange(n + 1)
+        env_node[: n + 1, s] = envelope(nodes)
+        env_mid[:n, s] = envelope(nodes[:-1] + 0.5 * step)
+
+    order = np.argsort(-n_steps[schedule], kind="stable")
+    schedule = schedule[order]
+    a = amps[order][None, :]
+    h = steps[schedule][None, :]
+    half, sixth = 0.5 * h, h / 6.0
+    # One column per row: (d, d) @ (d, rows) products are the fast layout.
+    y = np.array(x[order].T, dtype=dtype, order="C")
+    # Step i advances the rows with more than i steps: a prefix of the
+    # sorted rows, which shrinks each time a step count is reached.
+    start = 0
+    # An unstable step overflows to inf or nan without a warning; the
+    # caller's check reports the row.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stop in sorted(set(n_steps.tolist())):
+            m = np.count_nonzero(n_steps[schedule] > start)
+            s, am, ym, hm, hh, sm = schedule[:m], a[:, :m], y[:, :m], half[:, :m], h[:, :m], sixth[:, :m]
+            drive_next = am * env_node[start, s]
+            for i in range(start, stop):
+                drive_node, drive_next = drive_next, am * env_node[i + 1, s]
+                drive_mid = am * env_mid[i, s]
+                k1 = rhs(ym, drive_node)
+                k2 = rhs(ym + hm * k1, drive_mid)
+                k3 = rhs(ym + hm * k2, drive_mid)
+                k4 = rhs(ym + hh * k3, drive_next)
+                # y += h / 6 (k1 + 2 (k2 + k3) + k4), in place
                 k2 += k3
                 k2 *= 2.0
                 k1 += k2
                 k1 += k4
-                k1 *= step / 6.0
-                y += k1
-        out[rows] = y.T
+                k1 *= sm
+                ym += k1
+            start = stop
+    out = np.empty_like(x, dtype=dtype)
+    out[order] = y.T
     return out
 
 
@@ -384,8 +423,8 @@ def _propagate_sampled(spec: DriveHamiltonianSpec, x: np.ndarray, l_h: np.ndarra
     def envelope(t):
         return wave.value_at(t) / scale
 
-    amps = np.full(len(x), peak)
-    return _rk4_rows(x, amps, envelope, l_h, l_d, wave.t_start, wave.t_end - wave.t_start, wave.dt)
+    shapes = [(envelope, wave.t_start, wave.t_end - wave.t_start)]
+    return _rk4_rows(x, np.full(len(x), peak), shapes, np.zeros(len(x), dtype=int), l_h, l_d, wave.dt)
 
 
 def propagate_schrodinger(spec: DriveHamiltonianSpec) -> Operator3:
@@ -441,23 +480,26 @@ def lindblad_segment_batch(
     rates: ThermalRates,
     dt: float = 1e-9,
 ) -> np.ndarray:
-    """Propagate a batch of density matrices through one drive segment.
+    """Propagate a batch of density matrices through one drive segment each.
 
-    rho has shape (..., 3, 3) and amplitudes broadcasts against the
-    leading dimensions. The RK4 core runs on vec(rho) across
-    [-tau_c, tau_c] with the analytic super-Gaussian envelope at the
-    stage times and the superoperators of :func:`liouvillian`. The result
-    is real when rho has no imaginary part, complex otherwise.
+    rho has shape (..., 3, 3); amplitudes, tau and tau_c broadcast
+    against the leading dimensions, so each matrix has its own amplitude
+    and pulse shape. The RK4 core runs all of them in one loop on
+    vec(rho), each across its own [-tau_c, tau_c] with the analytic
+    super-Gaussian envelope at its stage times, and the superoperators
+    of :func:`liouvillian`. The result is real when rho has no imaginary
+    part, complex otherwise.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
-    amps = np.broadcast_to(np.asarray(amplitudes, dtype=float), lead).ravel()
+    amps, taus, tau_cs = (np.broadcast_to(np.asarray(v, dtype=float), lead).ravel() for v in (amplitudes, tau, tau_c))
+    pairs, which = np.unique(np.stack([taus, tau_cs]), axis=1, return_inverse=True)
+    shapes = [(partial(super_gaussian, tau=t), -t_c, 2.0 * t_c) for t, t_c in pairs.T]
     l_h, l_d = liouvillian(transition, rates)
     x = rho.reshape(-1, 9)
     if np.iscomplexobj(x) and not np.any(x.imag):
         x = x.real
-    envelope = partial(super_gaussian, tau=tau)
-    return _rk4_rows(x, amps, envelope, l_h, l_d, -tau_c, 2.0 * tau_c, dt).reshape(lead + (3, 3))
+    return _rk4_rows(x, amps, shapes, which, l_h, l_d, dt).reshape(lead + (3, 3))
 
 
 def check_density_batch(rho: np.ndarray, where: str) -> None:
@@ -480,9 +522,8 @@ def check_density_batch(rho: np.ndarray, where: str) -> None:
     would over the whole batch.
     """
     rho = np.asarray(rho).reshape(-1, 3, 3)
-    finite = np.all(np.isfinite(rho), axis=(1, 2))
-    if not np.all(finite):
-        row = int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(rho).all():
+        row = int(np.flatnonzero(~np.isfinite(rho).all(axis=(1, 2)))[0])
         raise NumericToleranceError(f"{where}, row {row}: non-finite density matrix")
     drift = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
     if np.any(drift > 1e-6):

@@ -193,7 +193,7 @@ class ProbeMaps:
     amplitude. Any other key interpolates its map from CHEBYSHEV_NODES
     Chebyshev points of ((g - 1) w, g w] to rounding level (Trefethen,
     Approximation Theory and Approximation Practice, 2013), summed by
-    Clenshaw's recurrence. All of one shape's maps come from one
+    Clenshaw's recurrence. Every key's maps come from one
     :func:`lindblad_segment_batch` call on the 9 basis matrices.
     """
 
@@ -204,31 +204,31 @@ class ProbeMaps:
         # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
         transform = (2.0 / CHEBYSHEV_NODES) * np.cos(np.outer(np.arange(CHEBYSHEV_NODES), angles))
         transform[0] *= 0.5
-        shapes = {}  # tau -> [(key, nodes)], groups ascending
-        for key, _, amps, width in self._keys(np.unique(thetas)):
-            nodes = np.unique(amps)
+        keys = []  # (key, nodes), in the order of the segment call's rows
+        for key, _, amps, width in self._keys(_distinct(thetas)):
+            nodes = _distinct(amps)
             if len(nodes) >= CHEBYSHEV_NODES:
                 nodes = (key[1] - 0.5) * width + 0.5 * width * np.cos(angles)
-            shapes.setdefault(key[0], []).append((key, nodes))
-        for tau, keys in shapes.items():
-            nodes = np.concatenate([nodes for _, nodes in keys])
-            basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(nodes), 9, 3, 3))
-            maps = lindblad_segment_batch(basis, nodes[:, None], "12", tau, 2 * tau, rates, dt).reshape(-1, 9, 9)
-            for key, nodes in keys:
-                block, maps = maps[: len(nodes)], maps[len(nodes) :]
-                exact = len(nodes) < CHEBYSHEV_NODES
-                self._maps[key] = (nodes, block) if exact else (None, np.einsum("jk,kab->jab", transform, block))
+            keys.append((key, nodes))
+        amplitudes = np.concatenate([np.empty(0)] + [nodes for _, nodes in keys])[:, None]
+        taus = np.concatenate([np.empty(0)] + [np.full(len(nodes), key[0]) for key, nodes in keys])[:, None]
+        basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(amplitudes), 9, 3, 3))
+        maps = lindblad_segment_batch(basis, amplitudes, "12", taus, 2 * taus, rates, dt).reshape(-1, 9, 9)
+        for key, nodes in keys:
+            block, maps = maps[: len(nodes)], maps[len(nodes) :]
+            exact = len(nodes) < CHEBYSHEV_NODES
+            self._maps[key] = (nodes, block) if exact else (None, np.einsum("jk,kab->jab", transform, block))
 
     def _keys(self, thetas: np.ndarray):
         """Each (tau, g) key among the 1-d thetas, with its entries' indices and amplitudes, and w."""
         taus, _ = self._geometry.b_shape(thetas)
-        for tau in np.unique(taus):
+        for tau in _distinct(taus):
             if tau not in self._areas:
                 self._areas[tau] = effective_area(tau, 2 * tau)
             on_shape = np.flatnonzero(taus == tau)
             amps = amplitude_for_bpulse(thetas[on_shape], self._areas[tau])
             groups, width = substep_counts(amps, 4 * tau, self._dt)
-            for g in np.unique(groups):
+            for g in _distinct(groups):
                 yield (tau, g), on_shape[groups == g], amps[groups == g], width
 
     def apply(self, vec: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -246,9 +246,18 @@ class ProbeMaps:
             which = np.searchsorted(nodes, amps)
             if not np.array_equal(nodes[np.minimum(which, len(nodes) - 1)], amps):
                 raise ValueError("a strength of an exact key has no map; build ProbeMaps from every strength")
-            for k in np.unique(which):
+            for k in _distinct(which):
                 out[rows[which == k]] = _clenshaw(vec[rows[which == k]], 0.0, maps[k : k + 1])
         return out
+
+
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values, as np.unique gives them.
+
+    Asking for the counts keeps numpy 2 off the path that imports
+    numpy.ma on its first call, about 16 ms of every fresh process.
+    """
+    return np.unique(values, return_counts=True)[0]
 
 
 def _clenshaw(v: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -463,6 +463,24 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
+    # numpy 2 imports numpy.ma on the first plain np.unique call, about
+    # 16 ms of a fresh process; the dissipative path asks for inverses.
+    runs = [
+        ("multi_random", "model.kind = lindblad_depol\nsweep.n_min = 3\nsweep.n_max = 4\nsweep.m = 10\n"),
+        ("n2_map", "model.kind = lindblad\nsweep.points = 5\n"),
+    ]
+    calls = []
+    for i, (scenario, text) in enumerate(runs):
+        config = tmp_path / f"{scenario}.cfg"
+        config.write_text(text)
+        calls.append(f"main([{scenario!r}, '--config', {str(config)!r}, '--out', {str(tmp_path / str(i))!r}])")
+    code = f"import sys; from ifdsim.cli import main; {'; '.join(calls)}; print('numpy.ma' in sys.modules)"
+    proc = run_cli_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -413,6 +413,35 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
         assert np.max(np.abs(other - reference)) < 1e-6
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
+    # Rows of 56, 57 and 61 ns probes (tau_c = 2 tau) at a = 0 and in
+    # substep groups 1..8, interleaved in one call: each shape's rows come
+    # out as from a call of their own, and permuting the rows permutes
+    # the result.
+    rates, rng = thermal_rates(SAMPLE_1), np.random.default_rng(3)
+    amps, taus = [], []
+    for duration_ns in (56, 57, 61):
+        tau = duration_ns * 1e-9 / 4
+        _, width = substep_counts([0.0], 4 * tau, 1e-9)
+        groups = np.arange(1, 9)
+        amps.append(np.concatenate([[0.0], (groups - 0.5) * width]))
+        assert np.array_equal(substep_counts(amps[-1], 4 * tau, 1e-9)[0], np.concatenate([[1], groups]))
+        taus.append(np.full(len(amps[-1]), tau))
+    mix = rng.permutation(sum(len(a) for a in amps))
+    amps, taus = np.concatenate(amps)[mix], np.concatenate(taus)[mix]
+    rho = np.array([random_hermitian_density(seed, complex_) for seed in range(len(amps))])
+    batch = lindblad_segment_batch(rho, amps, "12", taus, 2 * taus, rates)
+    assert np.iscomplexobj(batch) == complex_
+    for tau in np.unique(taus):
+        rows = taus == tau
+        np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amps[rows], "12", tau, 2 * tau, rates))
+    perm = rng.permutation(len(amps))
+    np.testing.assert_array_equal(
+        lindblad_segment_batch(rho[perm], amps[perm], "12", taus[perm], 2 * taus[perm], rates), batch[perm]
+    )
+
+
 def probe_map_error(duration_ns, complex_, model, seed, amps, exact):
     """Largest distance of ProbeMaps rows from direct RK4 at amplitudes near amps.
 
@@ -510,6 +539,23 @@ def test_probe_maps_are_keyed_by_strength():
     # A strength of an exact key that the build did not see has no map.
     with pytest.raises(ValueError, match="has no map"):
         ProbeMaps(grid, geometry, rates, 1e-9).apply(vec[:1], extra[5:6])
+
+
+def test_probe_maps_build_every_shape_in_one_segment_call(monkeypatch):
+    # Strengths 0..4 pi at 56 ns reach the 56 ns shape and the five
+    # stretched ones; all their keys come from one "12" segment call.
+    calls = []
+
+    def recording(rho, amplitudes, transition, *args, **kwargs):
+        calls.append(transition)
+        return lindblad_segment_batch(rho, amplitudes, transition, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "lindblad_segment_batch", recording)
+    geometry = PulseGeometry(b_duration=56e-9)
+    thetas = np.linspace(0.0, 4.0 * np.pi, 41)
+    assert len(np.unique(geometry.b_shape(thetas)[0])) == 6
+    ProbeMaps(thetas, geometry, thermal_rates(SAMPLE_1), 1e-9)
+    assert calls == ["12"]
 
 
 def breaking_probe_node(node):
