@@ -40,16 +40,6 @@ class MajoranaStars:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
 
-    def matches(self, other: "MajoranaStars", tol: float = 1e-8) -> bool:
-        """Set equality of the two pairs, trying both labelings."""
-        direct = max(
-            np.max(np.abs(self.s1 - other.s1)), np.max(np.abs(self.s2 - other.s2))
-        )
-        swapped = max(
-            np.max(np.abs(self.s1 - other.s2)), np.max(np.abs(self.s2 - other.s1))
-        )
-        return min(direct, swapped) <= tol
-
 
 def majorana_polynomial(state: PureState) -> tuple[complex, complex, complex]:
     """Coefficients (a0, a1, a2) of the degree-2 Majorana polynomial."""

@@ -29,9 +29,6 @@ class ShotCounts:
     def total(self) -> int:
         return self.d0 + self.d1 + self.d2
 
-    def fractions(self) -> np.ndarray:
-        return np.array([self.d0, self.d1, self.d2]) / self.total
-
 
 def pr_nr(p: OutcomeProbabilities) -> tuple[float, float]:
     """(PR, NR) = (p0, p1) / (p0 + p1); raises if no run survives absorption.

@@ -75,7 +75,13 @@ class ProjectiveOutcome:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """One protocol instance: size, strengths, initial state and model."""
+    """One protocol instance: size, strengths, initial state and model.
+
+    initial=None starts from |0> under the ideal model and from the
+    thermal state of decoherence otherwise; pulse_geometry=None takes
+    :func:`~ifdsim.pulses.geometry_for_n`. Those defaults belong to
+    :func:`run_coherent_ideal` and :func:`dissipative_sweep`.
+    """
 
     n_segments: int
     thetas: tuple[float, ...]
@@ -96,18 +102,6 @@ class ProtocolSpec:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.model != "ideal" and self.decoherence is None:
             raise ValueError("dissipative models need a DecoherenceModel")
-
-    def geometry(self) -> PulseGeometry:
-        return self.pulse_geometry or geometry_for_n(self.n_segments)
-
-    def initial_rho(self) -> DensityMatrix:
-        if self.initial is None:
-            if self.model == "ideal":
-                return PureState.basis(0).density()
-            return thermal_state(self.decoherence)
-        if isinstance(self.initial, PureState):
-            return self.initial.density()
-        return self.initial
 
 
 def ideal_amplitudes(n_segments: int, thetas, initial=(1.0, 0.0, 0.0), checkpoints: bool = False) -> np.ndarray:
@@ -344,21 +338,6 @@ def dissipative_sweep(
     return rho
 
 
-def _sweep_spec(spec: ProtocolSpec, collect_checkpoints: bool = False):
-    """dissipative_sweep on the one protocol of spec."""
-    if spec.model == "ideal":
-        raise ValueError("the master-equation runners need a dissipative model; use run_coherent_ideal")
-    return dissipative_sweep(
-        np.array([spec.thetas]),
-        spec.n_segments,
-        spec.decoherence,
-        geometry=spec.geometry(),
-        depolarize=(spec.model == "lindblad_depol"),
-        initial=spec.initial_rho(),
-        collect_checkpoints=collect_checkpoints,
-    )
-
-
 def populations(rho: np.ndarray) -> np.ndarray:
     """diag(rho) of :func:`dissipative_sweep` results, clipped to [0, 1].
 
@@ -371,22 +350,17 @@ def populations(rho: np.ndarray) -> np.ndarray:
 
 def run_coherent_dissipative(spec: ProtocolSpec) -> OutcomeProbabilities:
     """Full protocol through the master equation; returns diag(rho_final)."""
-    return OutcomeProbabilities(*populations(_sweep_spec(spec)[0]))
-
-
-def dissipative_checkpoints(spec: ProtocolSpec) -> list[DensityMatrix]:
-    """Density matrix before the sequence and after every applied pulse.
-
-    Eigenvalues below 0, which the solver's accuracy allows
-    (:func:`check_density_batch`), are clipped to 0.
-    """
-    _, checkpoints = _sweep_spec(spec, collect_checkpoints=True)
-    out = []
-    for c in checkpoints:
-        w, v = np.linalg.eigh(0.5 * (c[0] + c[0].conj().T))
-        m = (v * np.maximum(w, 0.0)) @ v.conj().T
-        out.append(DensityMatrix(m / np.trace(m).real))
-    return out
+    if spec.model == "ideal":
+        raise ValueError("run_coherent_dissipative needs a dissipative model; use run_coherent_ideal")
+    rho = dissipative_sweep(
+        np.array([spec.thetas]),
+        spec.n_segments,
+        spec.decoherence,
+        geometry=spec.pulse_geometry,
+        depolarize=(spec.model == "lindblad_depol"),
+        initial=spec.initial.density() if isinstance(spec.initial, PureState) else spec.initial,
+    )
+    return OutcomeProbabilities(*populations(rho[0]))
 
 
 # ---------------------------------------------------------------------------

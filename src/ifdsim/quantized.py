@@ -60,9 +60,6 @@ class CompositeState:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
-    def amplitude(self, *index) -> complex:
-        return complex(self.amplitudes[index])
-
     def qutrit_marginals(self) -> np.ndarray:
         """(p0, p1, p2) after tracing out all field modes."""
         probs = np.abs(self.amplitudes) ** 2

@@ -25,7 +25,6 @@ from .protocol import (
     OutcomeProbabilities,
     ProtocolSpec,
     amplitude_recursion,
-    dissipative_checkpoints,
     dissipative_sweep,
     expansion_coefficients,
     ideal_amplitudes,
@@ -143,31 +142,38 @@ _SMALL_N = dict(default_kind="ideal", preset="sample1", b_ns=56.0)
 _MULTI = dict(default_kind="lindblad_depol", preset="sample2", b_ns=112.0)
 
 
-def _probabilities(
-    config: ExperimentConfig, thetas: np.ndarray, n: int, default_kind: str, preset: str, b_ns: float
-) -> np.ndarray:
-    """(p0, p1, p2) for a batch of strength vectors, shape (batch, 3).
+def _dissipative_run(
+    config: ExperimentConfig, thetas: np.ndarray, n: int, kind: str, preset: str, b_ns: float, collect_checkpoints=False
+):
+    """dissipative_sweep of a batch of strength vectors on the configured model, pulse geometry and start state.
 
-    On a dissipative model, a value outside the domain of the model or
-    the pulses (a negative temperature, a probe the 56 ns family cannot
-    stretch to) is a configuration error.
+    A value outside the domain of the model or the pulses (a negative
+    temperature, a probe the 56 ns family cannot stretch to) is a
+    configuration error.
     """
-    kind = config.get("model.kind", default_kind)
-    if kind == "ideal":
-        return ideal_amplitudes(n, thetas, _initial_state(config)) ** 2
     try:
         model = config.decoherence(default_preset=preset)
-        rho = dissipative_sweep(
+        return dissipative_sweep(
             thetas,
             n,
             model,
             geometry=config.geometry(default_b_ns=b_ns),
             depolarize=(kind == "lindblad_depol"),
             initial=_initial_state(config, model),
+            collect_checkpoints=collect_checkpoints,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return populations(rho)
+
+
+def _probabilities(
+    config: ExperimentConfig, thetas: np.ndarray, n: int, default_kind: str, preset: str, b_ns: float
+) -> np.ndarray:
+    """(p0, p1, p2) for a batch of strength vectors, shape (batch, 3)."""
+    kind = config.get("model.kind", default_kind)
+    if kind == "ideal":
+        return ideal_amplitudes(n, thetas, _initial_state(config)) ** 2
+    return populations(_dissipative_run(config, thetas, n, kind, preset, b_ns))
 
 
 def _ratios_or_nan(ratios, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,16 +334,15 @@ def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
     ideal = ideal_amplitudes(n, [thetas], ideal_init, checkpoints=True)[0]
     add("ideal", [PureState(v) for v in ideal])
     if kind != "ideal":
-        defaults = _SMALL_N if n <= 2 else _MULTI
-        try:
-            model = config.decoherence(default_preset=defaults["preset"])
-            geometry = config.geometry(default_b_ns=defaults["b_ns"])
-            initial = _initial_state(config, model)
-            spec = ProtocolSpec(n, thetas, initial, model=kind, decoherence=model, pulse_geometry=geometry)
-            checkpoints = dissipative_checkpoints(spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        add("dissipative_dominant", [c.dominant_eigenvector() for c in checkpoints])
+        family = _SMALL_N if n <= 2 else _MULTI
+        _, checkpoints = _dissipative_run(
+            config, np.array([thetas]), n, kind, family["preset"], family["b_ns"], collect_checkpoints=True
+        )
+        rho = np.concatenate(checkpoints)
+        # Each Hermitian part's top eigenvector: clipping the solver's small negative
+        # eigenvalues cannot move it, as a trace-1 row's largest eigenvalue is >= 1/3.
+        _, vectors = np.linalg.eigh(0.5 * (rho + rho.conj().transpose(0, 2, 1)))
+        add("dissipative_dominant", [PureState(v) for v in vectors[:, :, -1]])
     return SweepResult(
         scenario="majorana_trajectory",
         headers=("step", "mode", "s1x", "s1y", "s1z", "s2x", "s2y", "s2z"),

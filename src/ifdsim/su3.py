@@ -141,10 +141,6 @@ class PureState:
         v[level] = 1.0
         return cls(v)
 
-    def overlap(self, other: "PureState") -> float:
-        """|<self|other>|, i.e. fidelity up to global phase."""
-        return float(abs(np.vdot(self.vector, other.vector)))
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.vector, self.vector.conj()))
 
@@ -168,9 +164,3 @@ class DensityMatrix:
 
     def populations(self) -> np.ndarray:
         return np.real(np.diag(self.matrix))
-
-    def dominant_eigenvector(self) -> PureState:
-        """Eigenvector of the largest eigenvalue, used to project averaged
-        mixed states back onto the sphere picture."""
-        _, vecs = np.linalg.eigh(self.matrix)
-        return PureState(vecs[:, -1])

@@ -8,7 +8,6 @@ from ifdsim.protocol import (
     ProtocolSpec,
     amplitude_recursion,
     coherent_sequence_unitary,
-    dissipative_checkpoints,
     dissipative_sweep,
     expansion_coefficients,
     ideal_amplitudes,
@@ -404,23 +403,18 @@ def test_dissipative_requires_model():
 
 
 def test_dissipative_sweep_checkpoints():
-    rho, checkpoints = dissipative_sweep(
-        np.array([[np.pi, np.pi]]),
-        2,
-        SAMPLE_1,
-        collect_checkpoints=True,
-    )
-    assert len(checkpoints) == 2 * 2 + 2
-    assert np.max(np.abs(checkpoints[-1] - rho)) == 0.0
-    for c in checkpoints:
-        assert abs(np.trace(c[0]).real - 1.0) < 1e-8
-
-
-def test_dissipative_checkpoints_helper():
-    spec = ProtocolSpec(1, [np.pi], model="lindblad_depol", decoherence=SAMPLE_1)
-    states = dissipative_checkpoints(spec)
-    assert len(states) == 4
-    assert states[0].populations() == pytest.approx(thermal_state(SAMPLE_1).populations(), abs=1e-12)
+    for n in (1, 2):
+        rho, checkpoints = dissipative_sweep(
+            np.full((1, n), np.pi),
+            n,
+            SAMPLE_1,
+            collect_checkpoints=True,
+        )
+        assert len(checkpoints) == 2 * n + 2
+        assert np.max(np.abs(checkpoints[-1] - rho)) == 0.0
+        assert np.real(np.diag(checkpoints[0][0])) == pytest.approx(thermal_state(SAMPLE_1).populations(), abs=1e-12)
+        for c in checkpoints:
+            assert abs(np.trace(c[0]).real - 1.0) < 1e-8
 
 
 def test_depolarizing_model_shifts_outcome():

@@ -79,23 +79,23 @@ def test_exact_pi_rotation_block():
 def test_single_mode_full_strength_amplitudes():
     n = 1
     state = run_single_mode(1, n, FieldCoupling(g=np.pi, t_b=1.0))
-    assert state.amplitude(n, 0) == pytest.approx(0.5)
-    assert state.amplitude(n, 1) == pytest.approx(0.5)
-    assert state.amplitude(n - 1, 2) == pytest.approx(1 / np.sqrt(2))
+    assert state.amplitudes[n, 0] == pytest.approx(0.5)
+    assert state.amplitudes[n, 1] == pytest.approx(0.5)
+    assert state.amplitudes[n - 1, 2] == pytest.approx(1 / np.sqrt(2))
 
 
 def test_single_mode_general_strength_matches_closed_form():
     n, g, t_b = 3, 0.9, 0.8
     th = theta_n(g, n, t_b)
     state = run_single_mode(1, n, FieldCoupling(g=g, t_b=t_b))
-    assert state.amplitude(n, 0) == pytest.approx(np.sin(th / 4) ** 2, abs=1e-9)
-    assert state.amplitude(n, 1) == pytest.approx(np.cos(th / 4) ** 2, abs=1e-9)
-    assert state.amplitude(n - 1, 2) == pytest.approx(np.sin(th / 2) / np.sqrt(2), abs=1e-9)
+    assert state.amplitudes[n, 0] == pytest.approx(np.sin(th / 4) ** 2, abs=1e-9)
+    assert state.amplitudes[n, 1] == pytest.approx(np.cos(th / 4) ** 2, abs=1e-9)
+    assert state.amplitudes[n - 1, 2] == pytest.approx(np.sin(th / 2) / np.sqrt(2), abs=1e-9)
 
 
 def test_single_mode_without_coupling():
     state = run_single_mode(2, 2, FieldCoupling(g=0.0, t_b=1.0))
-    assert abs(state.amplitude(2, 1)) == pytest.approx(1.0)
+    assert abs(state.amplitudes[2, 1]) == pytest.approx(1.0)
 
 
 def test_single_mode_photon_bookkeeping():
@@ -127,7 +127,7 @@ def test_single_mode_rejects_tight_truncation():
 
 def test_two_mode_without_coupling():
     state = run_two_mode(2, 3, 0.0, 0.0, 1.0, 1.0)
-    assert abs(state.amplitude(2, 3, 1)) == pytest.approx(1.0)
+    assert abs(state.amplitudes[2, 3, 1]) == pytest.approx(1.0)
 
 
 def test_two_mode_printed_amplitude_structure():
@@ -148,7 +148,7 @@ def test_two_mode_printed_amplitude_structure():
     }
     total = 0.0
     for index, value in expected.items():
-        assert state.amplitude(*index) == pytest.approx(value, abs=1e-9)
+        assert state.amplitudes[index] == pytest.approx(value, abs=1e-9)
         total += value**2
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -163,12 +163,12 @@ def test_two_mode_ground_branch_is_two_component_superposition():
 def test_qubit_probe_empty_field_never_couples():
     for n in (1, 4, 11):
         state = run_qubit_probe(n, 1.0, 0.0, target_initial=0)
-        assert abs(state.amplitude(0, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(state.amplitudes[0, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qubit_probe_excited_field_protected_at_large_n():
     state = run_qubit_probe(25, 0.0, 1.0, target_initial=0)
-    assert abs(state.amplitude(1, 0)) ** 2 >= 0.99
+    assert abs(state.amplitudes[1, 0]) ** 2 >= 0.99
 
 
 def test_qubit_probe_swap_like_mapping():
