@@ -153,6 +153,47 @@ def test_point_seed_is_stable():
     assert point_seed(1, 2, 3) != point_seed(2, 2, 3)
 
 
+def numpy_strengths(seeds, n, kind):
+    """The strengths of the reproducibility contract, one numpy generator per seed."""
+    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    if kind == "uniform":
+        return np.array([rng.uniform(0.0, np.pi, n) for rng in rngs])
+    return np.array([rng.integers(0, 2, n) * np.pi for rng in rngs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 25])
+def test_seeded_strengths_are_numpys_default_rng_stream(n):
+    # Seeds below 2**32 are one SeedSequence entropy word, larger ones two;
+    # an odd N leaves the upper half of the last binary draw unused.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds += [point_seed(base, n, m) for base in (0, 1, 7919, 2**64 - 1) for m in (1, 2, 400)]
+    array = np.array(seeds, dtype=np.uint64)
+    words = scenarios._seed_words(array)
+    for i, seed in enumerate(seeds):
+        np.testing.assert_array_equal(words[:, i], np.random.SeedSequence(seed).generate_state(4, np.uint64))
+    for kind in ("uniform", "binary"):
+        np.testing.assert_array_equal(scenarios._seeded_strengths(array, n, kind), numpy_strengths(seeds, n, kind))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "binary"])
+def test_multi_random_builds_no_generator(tmp_path, monkeypatch, kind):
+    # The sweep draws its strengths without a per-point numpy generator and
+    # writes the bytes that the generators' own draws give.
+    cfg = write(tmp_path, "r.cfg", f"model.kind = lindblad_depol\nsweep.n_min = 3\nsweep.n_max = 4\nsweep.m = 10\n"
+                f"sweep.random_kind = {kind}\nrng_seed = 7919\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios, "_seeded_strengths", numpy_strengths)
+        assert main(["multi_random", "--config", cfg, "--out", str(tmp_path / "numpy")]) == 0
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("multi_random built a numpy generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert main(["multi_random", "--config", cfg, "--out", str(tmp_path / "port")]) == 0
+    for name in ("multi.csv", "summary.json"):
+        assert (tmp_path / "port" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # CLI behaviour
 # ---------------------------------------------------------------------------
@@ -501,6 +542,8 @@ def test_cli_import_leaves_scipy_out():
 def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
     # numpy 2 imports numpy.ma on the first plain np.unique call, about
     # 16 ms of a fresh process; the dissipative path asks for inverses.
+    # numpy.random, about 1.7 MB of peak RSS, loads with the first
+    # generator; the random strengths are drawn without one.
     runs = [
         ("multi_random", "model.kind = lindblad_depol\nsweep.n_min = 3\nsweep.n_max = 4\nsweep.m = 10\n"),
         ("n2_map", "model.kind = lindblad\nsweep.points = 5\n"),
@@ -510,10 +553,11 @@ def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
         config = tmp_path / f"{scenario}.cfg"
         config.write_text(text)
         calls.append(f"main([{scenario!r}, '--config', {str(config)!r}, '--out', {str(tmp_path / str(i))!r}])")
-    code = f"import sys; from ifdsim.cli import main; {'; '.join(calls)}; print('numpy.ma' in sys.modules)"
+    loaded = "[name for name in ('numpy.ma', 'numpy.random') if name in sys.modules]"
+    code = f"import sys; from ifdsim.cli import main; {'; '.join(calls)}; print({loaded})"
     proc = run_cli_process("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

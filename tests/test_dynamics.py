@@ -519,7 +519,7 @@ def test_probe_maps_are_keyed_by_strength():
     # 15, group 1 is interpolated either way, and groups 3 and 4 are new.
     geometry, rates = PulseGeometry(b_duration=112e-9), thermal_rates(SAMPLE_2)
     config = ExperimentConfig("multi_random", rng_seed=1)
-    random_sweeps = [scenarios._random_thetas(config, n, 400) for n in (24, 25)]
+    random_sweeps = [scenarios._random_thetas(config, n, 400, "uniform") for n in (24, 25)]
     grid = np.arange(1, 181) * np.pi / 180
     rng = np.random.default_rng(5)
     extra = np.concatenate([rng.uniform(0.1, 0.9, 5), rng.uniform(1.01, 1.9, 7), rng.uniform(2.0, 3.8, 20)]) * np.pi
