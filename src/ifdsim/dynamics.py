@@ -38,11 +38,16 @@ has fewer than 16, else at 16 Chebyshev nodes from which every row's map
 is interpolated.
 
 One RK4 loop (:func:`_rk4_rows`) steps every row of a call, whatever its
-shape and substep group: each row keeps its own step count and step,
-rows are sorted longest first, and a row drops out of the loop once its
-steps are done, so a call costs its longest row's steps. The same loop
-also runs the sampled-waveform propagators:
-:func:`propagate_lindblad` on the same superoperators, and
+shape and substep group: each row keeps its own step and runs its B g
+steps (B base steps of its shape, g substeps each) as g chunks of B
+steps. Chunk 0 steps the row; chunks 1..g - 1 step identity columns once
+per distinct amplitude and shape, and the row is multiplied by those
+chunk maps afterwards, the exact, linear case of time-parallel
+integration (M. J. Gander, "50 years of time parallel time integration",
+2015). Columns are sorted longest first and drop out of the loop once
+their steps are done, so a call costs its longest shape's base steps,
+not its longest row's B g. The same loop also runs the sampled-waveform
+propagators: :func:`propagate_lindblad` on the same superoperators, and
 :func:`propagate_schrodinger` on state vectors with generator -i G and
 no dissipator.
 """
@@ -329,19 +334,31 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
     is a sequence of (envelope, t0, span), envelope being e(t) with peak
     1 vectorised over t, and which holds each row's index into shapes:
     the row runs over [t0, t0 + span] of its shape. A span is cut into
-    grid_steps(span, dt) equal base steps, each split into the substeps
-    the row's amplitude needs (:func:`substep_counts`), so a row of
-    substep group g takes n = grid_steps(span, dt) g steps of span / n,
-    with the envelope at its own nodes and midpoints. One loop steps
-    every row: rows are sorted by n, longest first, step i advances the
-    prefix of rows that still have steps left, and a finished row is
-    not touched again. A row's arithmetic depends only on its own shape,
+    B = grid_steps(span, dt) equal base steps, each split into the
+    substeps the row's amplitude needs (:func:`substep_counts`), so a row
+    of substep group g takes n = B g steps of span / n, with the envelope
+    at its own nodes t0 + (span / n) i and midpoints.
+
+    Those n steps run as g chunks of B steps, chunk c over steps c B to
+    (c + 1) B. Chunk 0 steps the row itself; chunks 1..g - 1 step d
+    identity columns once per distinct (amplitude, shape) of the call,
+    which gives each chunk's d x d map, and the row is then multiplied by
+    its chunk maps in order. The segment is linear, so this is the same
+    discretisation (Havel, J. Math. Phys. 44, 534 (2003)), with rounding
+    of order 1e-15; a row of group 1 is stepped as one chunk. One loop
+    steps every column: columns are sorted by B, longest first, step i
+    advances the prefix of columns that still have steps left, and a
+    finished column is not touched again, so a call costs its longest
+    shape's B steps. A row's arithmetic depends only on its own shape,
     amplitude and start, so each result is independent of how the batch
-    is composed, shapes included. The result has the common dtype of x,
+    is composed, shapes included, once the call steps two columns or
+    more (numpy hands a one-column product to a matrix-vector kernel,
+    which may round differently). The result has the common dtype of x,
     L_H and L_D.
     """
     dtype = np.result_type(x, l_h, l_d)
     l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
+    rows, d = x.shape
 
     def rhs(y, drive):
         # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
@@ -352,47 +369,66 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
 
     # A schedule is one (shape, substep group) pair: its steps share
     # their count, length and envelope samples.
-    schedule = np.empty(len(x), dtype=int)
-    schedules = []  # (shape index, step count)
+    schedule = np.empty(rows, dtype=int)
+    schedules = []  # (shape index, substep group)
     for k, (_, _, span) in enumerate(shapes):
         on_shape = np.flatnonzero(which == k)
         subcounts, _ = substep_counts(amps[on_shape], span, dt)
         groups, inverse = np.unique(subcounts, return_inverse=True)
         schedule[on_shape] = len(schedules) + inverse
-        schedules += [(k, grid_steps(span, dt) * int(g)) for g in groups]
-    n_steps = np.array([n for _, n in schedules], dtype=int)
-    longest = int(n_steps.max(initial=0))
-    # Envelope samples, one column per schedule: e(t0 + i h) and e(t0 + (i + 1/2) h).
-    env_node = np.zeros((longest + 1, len(schedules)))
-    env_mid = np.zeros((longest, len(schedules)))
+        schedules += [(k, int(g)) for g in groups]
+    group = np.array([g for _, g in schedules], dtype=int)
+    base = np.array([grid_steps(shapes[k][2], dt) for k, _ in schedules], dtype=int)
+    # Envelope samples, one column (lane) per chunk of each schedule:
+    # e(t0 + (c B + i) h) and e(t0 + (c B + i + 1/2) h) in lane lane0[s] + c.
+    lane0 = np.cumsum(group) - group
+    longest = int(base.max(initial=0))
+    env_node = np.zeros((longest + 1, int(group.sum())))
+    env_mid = np.zeros((longest, int(group.sum())))
     steps = np.empty(len(schedules))
-    for s, (k, n) in enumerate(schedules):
+    for s, (k, g) in enumerate(schedules):
         envelope, t0, span = shapes[k]
-        steps[s] = step = span / n
-        nodes = t0 + step * np.arange(n + 1)
-        env_node[: n + 1, s] = envelope(nodes)
-        env_mid[:n, s] = envelope(nodes[:-1] + 0.5 * step)
+        b, lanes = base[s], slice(lane0[s], lane0[s] + g)
+        steps[s] = step = span / (b * g)
+        nodes = t0 + step * np.arange(b * g + 1)
+        chunk = b * np.arange(g)
+        env_node[: b + 1, lanes] = envelope(nodes)[np.arange(b + 1)[:, None] + chunk]
+        env_mid[:b, lanes] = envelope(nodes[:-1] + 0.5 * step)[np.arange(b)[:, None] + chunk]
 
-    order = np.argsort(-n_steps[schedule], kind="stable")
-    schedule = schedule[order]
-    a = amps[order][None, :]
-    h = steps[schedule][None, :]
+    # Chunk maps: for each distinct (schedule, amplitude) of a row past
+    # group 1, chunks 1..g - 1 as blocks of d identity columns.
+    later = np.flatnonzero(group[schedule] > 1)
+    keys, key_of = np.unique(np.stack([schedule[later], amps[later]]), axis=1, return_inverse=True)
+    key_schedule = keys[0].astype(int)
+    blocks = group[key_schedule] - 1
+    first_block = np.cumsum(blocks) - blocks
+    block_key = np.repeat(np.arange(len(blocks)), blocks)
+    block_lane = lane0[key_schedule[block_key]] + np.arange(len(block_key)) - first_block[block_key] + 1
+    col_schedule = np.concatenate([schedule, np.repeat(key_schedule[block_key], d)])
+    col_lane = np.concatenate([lane0[schedule], np.repeat(block_lane, d)])
+    col_amp = np.concatenate([amps, np.repeat(keys[1][block_key], d)])
+
+    col_steps = base[col_schedule]
+    order = np.argsort(-col_steps, kind="stable")
+    col_steps, lane = col_steps[order], col_lane[order]
+    a = col_amp[order][None, :]
+    h = steps[col_schedule[order]][None, :]
     half, sixth = 0.5 * h, h / 6.0
-    # One column per row: (d, d) @ (d, rows) products are the fast layout.
-    y = np.array(x[order].T, dtype=dtype, order="C")
-    # Step i advances the rows with more than i steps: a prefix of the
-    # sorted rows, which shrinks each time a step count is reached.
+    # One column per row or map column: (d, d) @ (d, columns) products are the fast layout.
+    y = np.ascontiguousarray(np.concatenate([x.T, np.tile(np.eye(d), len(block_key))], axis=1)[:, order], dtype=dtype)
+    # Step i advances the columns with more than i steps: a prefix of
+    # the sorted columns, which shrinks each time a step count is reached.
     start = 0
-    # An unstable step overflows to inf or nan without a warning; the
-    # caller's check reports the row.
+    # An unstable step overflows to inf or nan without a warning, and so
+    # may the products with the chunk maps; the caller's check reports the row.
     with np.errstate(over="ignore", invalid="ignore"):
-        for stop in sorted(set(n_steps.tolist())):
-            m = np.count_nonzero(n_steps[schedule] > start)
-            s, am, ym, hm, hh, sm = schedule[:m], a[:, :m], y[:, :m], half[:, :m], h[:, :m], sixth[:, :m]
-            drive_next = am * env_node[start, s]
+        for stop in sorted(set(col_steps.tolist())):
+            m = np.count_nonzero(col_steps > start)
+            lm, am, ym, hm, hh, sm = lane[:m], a[:, :m], y[:, :m], half[:, :m], h[:, :m], sixth[:, :m]
+            drive_next = am * env_node[start, lm]
             for i in range(start, stop):
-                drive_node, drive_next = drive_next, am * env_node[i + 1, s]
-                drive_mid = am * env_mid[i, s]
+                drive_node, drive_next = drive_next, am * env_node[i + 1, lm]
+                drive_mid = am * env_mid[i, lm]
                 k1 = rhs(ym, drive_node)
                 k2 = rhs(ym + hm * k1, drive_mid)
                 k3 = rhs(ym + hm * k2, drive_mid)
@@ -405,8 +441,16 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
                 k1 *= sm
                 ym += k1
             start = stop
-    out = np.empty_like(x, dtype=dtype)
-    out[order] = y.T
+        columns = np.empty_like(y)
+        columns[:, order] = y
+        out = columns[:, :rows].T.copy()
+        # maps[b][:, j] is block b's image of the j-th basis vector
+        maps = columns[:, rows:].reshape(d, -1, d).transpose(1, 0, 2)
+        later_group = group[schedule[later]]
+        for c in range(1, int(group.max(initial=1))):
+            on = later_group > c
+            mapped = later[on]
+            out[mapped] = (maps[first_block[key_of[on]] + c - 1] @ out[mapped, :, None])[..., 0]
     return out
 
 

@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +34,7 @@ from ifdsim.dynamics import (
 from ifdsim import protocol, scenarios
 from ifdsim.config import ExperimentConfig
 from ifdsim.protocol import ProbeMaps, dissipative_sweep
-from ifdsim.pulses import PulseEnvelope, PulseGeometry, effective_area, sample_waveform
+from ifdsim.pulses import PulseEnvelope, PulseGeometry, effective_area, grid_steps, sample_waveform, super_gaussian
 from ifdsim.su3 import DensityMatrix, PureState, b_pulse, beam_splitter, subspace_pauli
 
 TAU, TAU_C = 14e-9, 28e-9
@@ -416,9 +419,11 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
     # Rows of 56, 57 and 61 ns probes (tau_c = 2 tau) at a = 0 and in
-    # substep groups 1..8, interleaved in one call: each shape's rows come
-    # out as from a call of their own, and permuting the rows permutes
-    # the result.
+    # substep groups 1..8, three rows with different starts per
+    # amplitude, so that rows of one (amplitude, shape) share their chunk
+    # maps, all interleaved in one call: the rows of each (amplitude,
+    # shape) and of each shape come out as from a call of their own, and
+    # permuting the rows permutes the result.
     rates, rng = thermal_rates(SAMPLE_1), np.random.default_rng(3)
     amps, taus = [], []
     for duration_ns in (56, 57, 61):
@@ -428,18 +433,101 @@ def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
         amps.append(np.concatenate([[0.0], (groups - 0.5) * width]))
         assert np.array_equal(substep_counts(amps[-1], 4 * tau, 1e-9)[0], np.concatenate([[1], groups]))
         taus.append(np.full(len(amps[-1]), tau))
-    mix = rng.permutation(sum(len(a) for a in amps))
-    amps, taus = np.concatenate(amps)[mix], np.concatenate(taus)[mix]
+    amps, taus = np.repeat(np.concatenate(amps), 3), np.repeat(np.concatenate(taus), 3)
+    mix = rng.permutation(len(amps))
+    amps, taus = amps[mix], taus[mix]
     rho = np.array([random_hermitian_density(seed, complex_) for seed in range(len(amps))])
     batch = lindblad_segment_batch(rho, amps, "12", taus, 2 * taus, rates)
     assert np.iscomplexobj(batch) == complex_
     for tau in np.unique(taus):
         rows = taus == tau
         np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amps[rows], "12", tau, 2 * tau, rates))
+    for amp, tau in set(zip(amps.tolist(), taus.tolist())):
+        rows = (amps == amp) & (taus == tau)
+        assert np.count_nonzero(rows) == 3
+        np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amp, "12", tau, 2 * tau, rates))
     perm = rng.permutation(len(amps))
     np.testing.assert_array_equal(
         lindblad_segment_batch(rho[perm], amps[perm], "12", taus[perm], 2 * taus[perm], rates), batch[perm]
     )
+
+
+def sequential_rk4(rho, amp, tau, tau_c, rates, dt=1e-9):
+    """Classic RK4 on one row, its B g steps one after another.
+
+    The nodes t0 + h i and midpoints (t0 + h i) + h / 2 are those of
+    the segment solver, with B = grid_steps(span, dt) and g the row's
+    substep group.
+    """
+    l_h, l_d = liouvillian("12", rates)
+    span = 2 * tau_c
+    (group,), _ = substep_counts([amp], span, dt)
+    n = grid_steps(span, dt) * int(group)
+    h = span / n
+    nodes = -tau_c + h * np.arange(n + 1)
+    drive, drive_mid = amp * super_gaussian(nodes, tau), amp * super_gaussian(nodes[:-1] + 0.5 * h, tau)
+
+    def f(y, a):
+        return a * (l_h @ y) + l_d @ y
+
+    y = rho.reshape(9)
+    for i in range(n):
+        k1 = f(y, drive[i])
+        k2 = f(y + 0.5 * h * k1, drive_mid[i])
+        k3 = f(y + 0.5 * h * k2, drive_mid[i])
+        k4 = f(y + h * k3, drive[i + 1])
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y.reshape(3, 3)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_chunked_segment_matches_sequential_rk4(complex_):
+    # Rows of substep groups 1, 2 and 8 on 56 and 61 ns probes, in one
+    # call: composing a row's chunk maps agrees with stepping it through
+    # all of its steps in sequence.
+    rates = thermal_rates(SAMPLE_1)
+    amps, taus = [], []
+    for duration_ns in (56, 61):
+        tau = duration_ns * 1e-9 / 4
+        groups = np.array([1, 2, 8])
+        _, width = substep_counts([0.0], 4 * tau, 1e-9)
+        amps.append((groups - 0.5) * width)
+        assert np.array_equal(substep_counts(amps[-1], 4 * tau, 1e-9)[0], groups)
+        taus.append(np.full(len(groups), tau))
+    amps, taus = np.concatenate(amps), np.concatenate(taus)
+    rho = np.array([random_hermitian_density(seed, complex_) for seed in range(len(amps))])
+    batch = lindblad_segment_batch(rho, amps, "12", taus, 2 * taus, rates)
+    for row, start, amp, tau in zip(batch, rho, amps, taus):
+        assert np.max(np.abs(row - sequential_rk4(start, amp, tau, 2 * tau, rates))) <= 1e-13
+
+
+def test_later_group_failures_are_reported_by_row():
+    # Rows of substep groups 2 and 8 at 56 ns. A non-finite start stays
+    # in its row, though a healthy row shares its chunk maps; decay far
+    # past RK4's stability grows every row finite at 1e10/s and overflows
+    # at 1e11/s. Each is reported with the guard's usual message and no
+    # warning, and a batch of no rows still runs.
+    tau = 14e-9
+    _, width = substep_counts([0.0], 4 * tau, 1e-9)
+    amps = np.array([1.5, 7.5, 7.5, 1.5]) * width
+    assert np.array_equal(substep_counts(amps, 4 * tau, 1e-9)[0], [2, 8, 8, 2])
+    rho = np.array([random_hermitian_density(seed, complex_=False) for seed in range(len(amps))])
+    rho[2, 1, 1] = np.nan
+    rates = thermal_rates(SAMPLE_1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lindblad_segment_batch(rho, amps, "12", tau, 2 * tau, rates)
+        check_density_batch(out[[0, 1, 3]], "probe 1 of 2")
+        with pytest.raises(NumericToleranceError, match=r"^probe 1 of 2, row 2: non-finite density matrix$"):
+            check_density_batch(out, "probe 1 of 2")
+        for gamma, message in ((1e10, r"trace drift \S+ exceeds 1e-6"), (1e11, "non-finite density matrix")):
+            stiff = thermal_rates(DecoherenceModel(**{**SAMPLE_1.__dict__, "gamma10": gamma}))
+            out = lindblad_segment_batch(rho[[0, 1]], amps[[0, 1]], "12", tau, 2 * tau, stiff)
+            with pytest.raises(NumericToleranceError, match=rf"^probe 1 of 2, row \d: {message}$"):
+                check_density_batch(out, "probe 1 of 2")
+        empty = lindblad_segment_batch(np.zeros((0, 3, 3)), np.zeros(0), "12", tau, 2 * tau, rates)
+        assert empty.shape == (0, 3, 3)
+        check_density_batch(empty, "probe 1 of 2")
 
 
 def probe_map_error(duration_ns, complex_, model, seed, amps, exact):
@@ -554,8 +642,21 @@ def test_probe_maps_build_every_shape_in_one_segment_call(monkeypatch):
     geometry = PulseGeometry(b_duration=56e-9)
     thetas = np.linspace(0.0, 4.0 * np.pi, 41)
     assert len(np.unique(geometry.b_shape(thetas)[0])) == 6
-    ProbeMaps(thetas, geometry, thermal_rates(SAMPLE_1), 1e-9)
+    # The call costs the longest shape's base steps, 61 loop iterations
+    # (four right-hand sides each), though that shape reaches substep group 8.
+    rhs_calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rhs" and frame.f_code.co_filename == dynamics.__file__:
+            rhs_calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        ProbeMaps(thetas, geometry, thermal_rates(SAMPLE_1), 1e-9)
+    finally:
+        sys.setprofile(None)
     assert calls == ["12"]
+    assert len(rhs_calls) == 4 * 61
 
 
 def breaking_probe_node(node):
