@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -41,6 +43,10 @@ from .quantized import FieldCoupling, run_single_mode
 from .su3 import PureState, b_pulse, beam_splitter  # noqa: F401
 
 
+# Rows formatted and written per piece by emit_csv.
+CSV_CHUNK_ROWS = 4096
+
+
 @dataclass
 class SweepResult:
     scenario: str
@@ -60,11 +66,31 @@ def _row_format(types: tuple[type, ...]) -> str:
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
-    """Write rows with '.' decimals and >= 9 significant digits, locale-free."""
-    lines = [",".join(result.headers)]
-    for row in result.rows:
-        lines.append(_row_format(tuple(map(type, row))) % tuple(row))
-    _write_atomically(path, "\n".join(lines) + "\n")
+    """Write the header and rows as CSV, '.' decimals, locale-free.
+
+    Each value is written by one rule: ``%d`` for integers, the text for
+    strings and ``%.12g`` otherwise (at most 12 significant digits,
+    trailing zeros dropped). Rows are formatted and written
+    ``CSV_CHUNK_ROWS`` at a time, so at most one chunk of text is held.
+    """
+    _write_atomically(path, _csv_pieces(result))
+
+
+def _csv_pieces(result: SweepResult) -> Iterator[str]:
+    """The header line, then the text of each chunk of rows.
+
+    A chunk whose rows share one type signature is formatted by one
+    ``%`` call on its row template repeated once per row.
+    """
+    yield ",".join(result.headers) + "\n"
+    rows = result.rows
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        chunk = rows[start : start + CSV_CHUNK_ROWS]
+        types = {tuple(map(type, row)) for row in chunk}
+        if len(types) == 1:
+            yield ((_row_format(types.pop()) + "\n") * len(chunk)) % tuple(chain.from_iterable(chunk))
+        else:
+            yield "".join(_row_format(tuple(map(type, row))) % tuple(row) + "\n" for row in chunk)
 
 
 def emit_summary_json(result: SweepResult, path: str) -> None:
@@ -77,18 +103,19 @@ def emit_summary_json(result: SweepResult, path: str) -> None:
         "row_count": len(result.rows),
         "aggregates": result.aggregates,
     }
-    _write_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomically(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to a temp file beside path, then rename it over path.
+def _write_atomically(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces in order to a temp file beside path, then rename it over path.
 
-    A run that fails part-way leaves path as it was, and no temp file.
+    A run that fails part-way, while the pieces are still being made,
+    leaves path as it was, and no temp file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,23 @@ def test_emit_interrupted_before_rename_keeps_old_file(tmp_path, monkeypatch):
             emit(result, str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    # A row that cannot be formatted, in the second chunk: the first chunk
+    # has reached the temp file when the error is raised.
+    removed_sizes = []
+
+    def remove(tmp, remove=os.remove):
+        removed_sizes.append(os.path.getsize(tmp))
+        remove(tmp)
+
+    monkeypatch.setattr(scenarios.os, "remove", remove)
+    chunk = scenarios.CSV_CHUNK_ROWS
+    broken = scenarios.SweepResult("n1_sweep", ("a",), [(0.5,)] * (chunk + 1) + [(None,)])
+    with pytest.raises(TypeError, match="NoneType"):
+        scenarios.emit_csv(broken, str(path))
+    assert removed_sizes == [len("a\n") + chunk * len("0.5\n")]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def run_cli_process(*args):
@@ -867,7 +885,7 @@ def test_emit_csv_matches_the_per_value_rule(tmp_path):
             return v
         return "{:.12g}".format(float(v))
 
-    rows = [
+    mixed = [
         (1, np.int64(-7), "d0", 0.1, np.float64(2.0 / 3.0)),
         (True, np.int32(3), "uniform", -0.0, 1e-300),
         (0, np.int64(0), "", 1e21, np.float64(-1e21)),
@@ -875,10 +893,35 @@ def test_emit_csv_matches_the_per_value_rule(tmp_path):
         (5, np.int64(5), "d2", np.float32(0.1), 123456789012.5),
         (1.5, 2, 3, 4.0, "s"),
     ]
-    path = tmp_path / "mixed.csv"
-    emit_csv(SweepResult(scenario="histogram", headers=("a", "b", "c", "d", "e"), rows=rows), str(path))
-    expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, row)) + "\n" for row in rows)
-    assert path.read_bytes() == expected.encode("ascii")
+    # Past one chunk: mixed rows formatted row by row in every chunk, and
+    # rows of one type signature formatted by one template per chunk, with
+    # one odd row in a later chunk.
+    chunk = scenarios.CSV_CHUNK_ROWS
+    one_signature = [(i, np.int64(-i), f"d{i % 3}", i / 7.0, np.float64(i) ** 0.5 * 1e-5) for i in range(2 * chunk + 5)]
+    one_signature[chunk + 100] = mixed[-1]
+    for name, rows in (("six", mixed), ("mixed_chunks", mixed * (chunk // 6 + 20)), ("one_signature", one_signature)):
+        path = tmp_path / f"{name}.csv"
+        emit_csv(SweepResult(scenario="histogram", headers=("a", "b", "c", "d", "e"), rows=rows), str(path))
+        expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, row)) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("ascii"), name
+
+
+def test_emit_csv_holds_one_chunk_of_text(tmp_path):
+    # The default ideal n2_map writes 25 921 rows, about 3.1 MB of CSV.
+    # Streamed in chunks, emission's peak over the rows it formats stays
+    # far below the file's size.
+    result = run_scenario(parse_config_text("scenario = n2_map\n"))
+    assert len(result.rows) == 161 * 161
+    path = tmp_path / "n2_map.csv"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scenarios.emit_csv(result, str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3_000_000
+    assert peak < 2 * 2**20
 
 
 def test_multi_identical_ideal_endpoint(tmp_path):
