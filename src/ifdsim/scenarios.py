@@ -13,7 +13,6 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -77,20 +76,12 @@ def emit_csv(result: SweepResult, path: str) -> None:
 
 
 def _csv_pieces(result: SweepResult) -> Iterator[str]:
-    """The header line, then the text of each chunk of rows.
-
-    A chunk whose rows share one type signature is formatted by one
-    ``%`` call on its row template repeated once per row.
-    """
+    """The header line, then the text of each chunk of rows."""
     yield ",".join(result.headers) + "\n"
     rows = result.rows
     for start in range(0, len(rows), CSV_CHUNK_ROWS):
         chunk = rows[start : start + CSV_CHUNK_ROWS]
-        types = {tuple(map(type, row)) for row in chunk}
-        if len(types) == 1:
-            yield ((_row_format(types.pop()) + "\n") * len(chunk)) % tuple(chain.from_iterable(chunk))
-        else:
-            yield "".join(_row_format(tuple(map(type, row))) % tuple(row) + "\n" for row in chunk)
+        yield "".join(_row_format(tuple(map(type, row))) % tuple(row) + "\n" for row in chunk)
 
 
 def emit_summary_json(result: SweepResult, path: str) -> None:

@@ -893,9 +893,8 @@ def test_emit_csv_matches_the_per_value_rule(tmp_path):
         (5, np.int64(5), "d2", np.float32(0.1), 123456789012.5),
         (1.5, 2, 3, 4.0, "s"),
     ]
-    # Past one chunk: mixed rows formatted row by row in every chunk, and
-    # rows of one type signature formatted by one template per chunk, with
-    # one odd row in a later chunk.
+    # Past one chunk: mixed rows in every chunk, and rows of one type
+    # signature with one odd row in a later chunk.
     chunk = scenarios.CSV_CHUNK_ROWS
     one_signature = [(i, np.int64(-i), f"d{i % 3}", i / 7.0, np.float64(i) ** 0.5 * 1e-5) for i in range(2 * chunk + 5)]
     one_signature[chunk + 100] = mixed[-1]
