@@ -1,7 +1,9 @@
 """Scenario catalog for the experiment runner.
 
 Every scenario maps a validated :class:`ExperimentConfig` to a
-:class:`SweepResult` holding CSV rows plus summary aggregates. Every
+:class:`SweepResult` holding CSV rows plus summary aggregates. The rows
+are a list of tuples or, for the strength sweeps, numpy columns read
+row by row, so those rows are made only as they are written. Every
 scenario runs in the calling thread, one N after another; the
 ``threads`` setting is accepted and validated but has no effect.
 """
@@ -10,9 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -50,7 +53,7 @@ CSV_CHUNK_ROWS = 4096
 class SweepResult:
     scenario: str
     headers: tuple[str, ...]
-    rows: list[tuple]
+    rows: Sequence[tuple]
     aggregates: dict = field(default_factory=dict)
     config_echo: dict = field(default_factory=dict)
     rng_seed: int = 0
@@ -78,10 +81,9 @@ def emit_csv(result: SweepResult, path: str) -> None:
 def _csv_pieces(result: SweepResult) -> Iterator[str]:
     """The header line, then the text of each chunk of rows."""
     yield ",".join(result.headers) + "\n"
-    rows = result.rows
-    for start in range(0, len(rows), CSV_CHUNK_ROWS):
-        chunk = rows[start : start + CSV_CHUNK_ROWS]
-        yield "".join(_row_format(tuple(map(type, row))) % tuple(row) + "\n" for row in chunk)
+    rows = iter(result.rows)
+    for _ in range(0, len(result.rows), CSV_CHUNK_ROWS):
+        yield "".join(_row_format(tuple(map(type, row))) % tuple(row) + "\n" for row in islice(rows, CSV_CHUNK_ROWS))
 
 
 def emit_summary_json(result: SweepResult, path: str) -> None:
@@ -203,12 +205,28 @@ def _ratios_or_nan(ratios, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> list[tuple]:
+class _Columns(Sequence):
+    """Rows read from equal-length columns; a row tuple exists only while it is read."""
+
+    def __init__(self, *columns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: int) -> tuple:
+        return tuple(column[index] for column in self._columns)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(*self._columns)
+
+
+def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> _Columns:
     """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c) from columns; pr and nr are nan where p0 + p1 = 0."""
     probs = OutcomeProbabilities(*p.T)
     pr, nr = _ratios_or_nan(lambda p0, p1: pr_nr(OutcomeProbabilities(p0, p1, 0.0)), probs.p0, probs.p1)
     (eta,) = _ratios_or_nan(efficiency, probs.p0, probs.p2)
-    return list(zip(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, eta))
+    return _Columns(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, eta)
 
 
 def _run_n1_sweep(config: ExperimentConfig) -> SweepResult:

@@ -898,28 +898,57 @@ def test_emit_csv_matches_the_per_value_rule(tmp_path):
     chunk = scenarios.CSV_CHUNK_ROWS
     one_signature = [(i, np.int64(-i), f"d{i % 3}", i / 7.0, np.float64(i) ** 0.5 * 1e-5) for i in range(2 * chunk + 5)]
     one_signature[chunk + 100] = mixed[-1]
-    for name, rows in (("six", mixed), ("mixed_chunks", mixed * (chunk // 6 + 20)), ("one_signature", one_signature)):
+    # Columns read row by row, as the strength sweeps hold their rows: an
+    # int64, a str and a float64 column, past one chunk.
+    size = chunk + 7
+    columns = (
+        np.arange(size, dtype=np.int64) - 3,
+        [f"s{i % 5}" for i in range(size)],
+        np.resize([np.nan, np.inf, -0.0, 1e-300, -np.inf, 2.0 / 3.0, 123456789012.5], size),
+    )
+    column_rows = scenarios._Columns(*columns)
+    as_list = list(zip(*columns))
+    assert len(column_rows) == size
+    # Compared by repr, which also shows the value types: a nan is not equal to itself.
+    assert repr([column_rows[0], column_rows[-1], *column_rows]) == repr([as_list[0], as_list[-1], *as_list])
+    inputs = (
+        ("six", mixed),
+        ("mixed_chunks", mixed * (chunk // 6 + 20)),
+        ("one_signature", one_signature),
+        ("columns", column_rows),
+        ("columns_as_list", as_list),
+    )
+    emitted = {}
+    for name, rows in inputs:
         path = tmp_path / f"{name}.csv"
-        emit_csv(SweepResult(scenario="histogram", headers=("a", "b", "c", "d", "e"), rows=rows), str(path))
-        expected = "a,b,c,d,e\n" + "".join(",".join(map(per_value, row)) + "\n" for row in rows)
-        assert path.read_bytes() == expected.encode("ascii"), name
+        headers = ("a", "b", "c", "d", "e")[: len(rows[0])]
+        emit_csv(SweepResult(scenario="histogram", headers=headers, rows=rows), str(path))
+        expected = ",".join(headers) + "\n" + "".join(",".join(map(per_value, row)) + "\n" for row in rows)
+        emitted[name] = path.read_bytes()
+        assert emitted[name] == expected.encode("ascii"), name
+    assert emitted["columns"] == emitted["columns_as_list"]
 
 
 def test_emit_csv_holds_one_chunk_of_text(tmp_path):
     # The default ideal n2_map writes 25 921 rows, about 3.1 MB of CSV.
-    # Streamed in chunks, emission's peak over the rows it formats stays
-    # far below the file's size.
-    result = run_scenario(parse_config_text("scenario = n2_map\n"))
-    assert len(result.rows) == 161 * 161
+    # The run holds them as numpy columns (about 1.7 MB of float64), not
+    # as tuples of boxed floats (about 7.5 MB). Streamed in chunks,
+    # emission's peak over the held columns stays far below the file's size.
     path = tmp_path / "n2_map.csv"
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_scenario(parse_config_text("scenario = n2_map\n"))
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         scenarios.emit_csv(result, str(path))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    assert len(result.rows) == 161 * 161
     assert path.stat().st_size > 3_000_000
+    assert held < 3 * 2**20
     assert peak < 2 * 2**20
 
 
