@@ -14,7 +14,6 @@ import json
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -59,12 +58,9 @@ class SweepResult:
     rng_seed: int = 0
 
 
-@lru_cache(maxsize=64)
-def _row_format(types: tuple[type, ...]) -> str:
-    """One %-format for a row of these value types: %d, %s or %.12g per value."""
-    return ",".join(
-        "%d" if issubclass(t, (int, np.integer)) else "%s" if issubclass(t, str) else "%.12g" for t in types
-    )
+def _value_format(t: type) -> str:
+    """The %-format of a value of type t: %d for integers, %s for strings, %.12g otherwise."""
+    return "%d" if issubclass(t, (int, np.integer)) else "%s" if issubclass(t, str) else "%.12g"
 
 
 def emit_csv(result: SweepResult, path: str) -> None:
@@ -74,16 +70,35 @@ def emit_csv(result: SweepResult, path: str) -> None:
     strings and ``%.12g`` otherwise (at most 12 significant digits,
     trailing zeros dropped). Rows are formatted and written
     ``CSV_CHUNK_ROWS`` at a time, so at most one chunk of text is held.
+    The rule is decided once per column per chunk, or value by value in
+    a column of several types. A row of the wrong length raises
+    ``ValueError``.
     """
     _write_atomically(path, _csv_pieces(result))
 
 
 def _csv_pieces(result: SweepResult) -> Iterator[str]:
-    """The header line, then the text of each chunk of rows."""
+    """The header line, then the text of each chunk of rows, formatted by one row template."""
     yield ",".join(result.headers) + "\n"
-    rows = iter(result.rows)
-    for _ in range(0, len(result.rows), CSV_CHUNK_ROWS):
-        yield "".join(_row_format(tuple(map(type, row))) % tuple(row) + "\n" for row in islice(rows, CSV_CHUNK_ROWS))
+    rows = result.rows
+    rows_left = iter(rows)
+    for start in range(0, len(rows), CSV_CHUNK_ROWS):
+        if isinstance(rows, _Columns):
+            columns = [column[start : start + CSV_CHUNK_ROWS] for column in rows._columns]
+        else:
+            columns = list(zip(*islice(rows_left, CSV_CHUNK_ROWS), strict=True))
+        formats = []
+        for i, column in enumerate(columns):
+            # A numpy column of a fixed dtype holds one type and is not scanned.
+            fixed = isinstance(column, np.ndarray) and column.dtype != object
+            types = {column.dtype.type} if fixed else set(map(type, column))
+            if len(types) == 1:
+                formats.append(_value_format(*types))
+            else:
+                formats.append("%s")
+                columns[i] = [_value_format(type(v)) % v for v in column]
+        template = ",".join(formats) + "\n"
+        yield "".join(map(template.__mod__, zip(*columns, strict=True)))
 
 
 def emit_summary_json(result: SweepResult, path: str) -> None:

@@ -294,6 +294,17 @@ def test_emit_interrupted_before_rename_keeps_old_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    # A row one value short or one value long, in the second chunk, raises
+    # instead of being written short or cut to the width of the others.
+    for odd_row in [(0.5,), (0.5, 1, 2)]:
+        removed_sizes.clear()
+        ragged = scenarios.SweepResult("n1_sweep", ("a", "b"), [(0.5, 1)] * (chunk + 1) + [odd_row])
+        with pytest.raises(ValueError, match="zip"):
+            scenarios.emit_csv(ragged, str(path))
+        assert removed_sizes == [len("a,b\n") + chunk * len("0.5,1\n")]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
 
 def run_cli_process(*args):
     """`python -m ifdsim.cli` in a fresh interpreter on this checkout, warnings shown."""
@@ -911,12 +922,24 @@ def test_emit_csv_matches_the_per_value_rule(tmp_path):
     assert len(column_rows) == size
     # Compared by repr, which also shows the value types: a nan is not equal to itself.
     assert repr([column_rows[0], column_rows[-1], *column_rows]) == repr([as_list[0], as_list[-1], *as_list])
+    # Columns the dtype alone does not decide: an object array of mixed
+    # types; bool, int32 and float32 arrays; and a list of one type in
+    # the first chunk and of two types in the second.
+    mixed_columns = (
+        np.resize(np.array([1, 0.25, np.float64(-2.5), "t", 2**70], dtype=object), size),
+        np.arange(size) % 3 == 0,
+        np.arange(size, dtype=np.int32) - 9,
+        np.linspace(-1.0, 1.0, size, dtype=np.float32),
+        [i / 3.0 for i in range(chunk)] + [i if i % 2 else i / 3.0 for i in range(chunk, size)],
+    )
     inputs = (
         ("six", mixed),
         ("mixed_chunks", mixed * (chunk // 6 + 20)),
         ("one_signature", one_signature),
         ("columns", column_rows),
         ("columns_as_list", as_list),
+        ("mixed_columns", scenarios._Columns(*mixed_columns)),
+        ("mixed_columns_as_list", list(zip(*mixed_columns))),
     )
     emitted = {}
     for name, rows in inputs:
@@ -927,6 +950,7 @@ def test_emit_csv_matches_the_per_value_rule(tmp_path):
         emitted[name] = path.read_bytes()
         assert emitted[name] == expected.encode("ascii"), name
     assert emitted["columns"] == emitted["columns_as_list"]
+    assert emitted["mixed_columns"] == emitted["mixed_columns_as_list"]
 
 
 def test_emit_csv_holds_one_chunk_of_text(tmp_path):
