@@ -37,17 +37,17 @@ group (:func:`substep_counts`): at its own amplitudes where the group
 has fewer than 16, else at 16 Chebyshev nodes from which every row's map
 is interpolated.
 
-One RK4 loop (:func:`_rk4_rows`) steps every row of a call, whatever its
-shape and substep group: each row keeps its own step and runs its B g
-steps (B base steps of its shape, g substeps each) as g chunks of B
-steps. Chunk 0 steps the row; chunks 1..g - 1 step identity columns once
-per distinct amplitude and shape, and the row is multiplied by those
-chunk maps afterwards, the exact, linear case of time-parallel
-integration (M. J. Gander, "50 years of time parallel time integration",
-2015). Columns are sorted longest first and drop out of the loop once
-their steps are done, so a call costs its longest shape's base steps,
-not its longest row's B g. The same loop also runs the sampled-waveform
-propagators: :func:`propagate_lindblad` on the same superoperators, and
+One RK4 loop (:func:`_rk4_rows`) serves every row of a call, whatever
+its shape and substep group: each row keeps its own step and runs its
+B g steps (B base steps of its shape, g substeps each) as g chunks of B
+steps. Every chunk is stepped once per distinct amplitude and shape, on
+identity columns, and the row is multiplied by its chunk maps in order,
+the exact, linear case of time-parallel integration (M. J. Gander, "50
+years of time parallel time integration", 2015). The maps are laid out
+longest shape first and drop out of the loop once their steps are done,
+so a call costs its longest shape's base steps, not its longest row's
+B g. The same loop also runs the sampled-waveform propagators:
+:func:`propagate_lindblad` on the same superoperators, and
 :func:`propagate_schrodinger` on state vectors with generator -i G and
 no dissipator.
 """
@@ -340,25 +340,22 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
     at its own nodes t0 + (span / n) i and midpoints.
 
     Those n steps run as g chunks of B steps, chunk c over steps c B to
-    (c + 1) B. Chunk 0 steps the row itself; chunks 1..g - 1 step d
-    identity columns once per distinct (amplitude, shape) of the call,
-    which gives each chunk's d x d map, and the row is then multiplied by
-    its chunk maps in order. The segment is linear, so this is the same
+    (c + 1) B. Every chunk of each distinct (amplitude, shape) of the
+    call is stepped once, on d identity columns, which gives the chunk's
+    d x d map, and each row is then multiplied by its chunk maps
+    0..g - 1 in order. The segment is linear, so this is the same
     discretisation (Havel, J. Math. Phys. 44, 534 (2003)), with rounding
-    of order 1e-15; a row of group 1 is stepped as one chunk. One loop
-    steps every column: columns are sorted by B, longest first, step i
-    advances the prefix of columns that still have steps left, and a
-    finished column is not touched again, so a call costs its longest
-    shape's B steps. A row's arithmetic depends only on its own shape,
-    amplitude and start, so each result is independent of how the batch
-    is composed, shapes included, once the call steps two columns or
-    more (numpy hands a one-column product to a matrix-vector kernel,
-    which may round differently). The result has the common dtype of x,
-    L_H and L_D.
+    of order 1e-15. One loop steps every column: the blocks are laid out
+    longest shape first, step i advances the prefix of columns that
+    still have steps left, and a finished column is not touched again,
+    so a call costs its longest shape's B steps. A row's arithmetic
+    depends only on its own shape, amplitude and start, so each result
+    is independent of how the batch is composed, shapes included. The
+    result has the common dtype of x, L_H and L_D.
     """
     dtype = np.result_type(x, l_h, l_d)
     l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
-    rows, d = x.shape
+    d = x.shape[1]
 
     def rhs(y, drive):
         # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
@@ -368,12 +365,13 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
         return k
 
     # A schedule is one (shape, substep group) pair: its steps share
-    # their count, length and envelope samples.
-    schedule = np.empty(rows, dtype=int)
+    # their count, length and envelope samples. Schedules are numbered
+    # longest shape first, so their base step counts never increase.
+    schedule = np.empty(len(x), dtype=int)
     schedules = []  # (shape index, substep group)
-    for k, (_, _, span) in enumerate(shapes):
+    for k in sorted(range(len(shapes)), key=lambda k: -grid_steps(shapes[k][2], dt)):
         on_shape = np.flatnonzero(which == k)
-        subcounts, _ = substep_counts(amps[on_shape], span, dt)
+        subcounts, _ = substep_counts(amps[on_shape], shapes[k][2], dt)
         groups, inverse = np.unique(subcounts, return_inverse=True)
         schedule[on_shape] = len(schedules) + inverse
         schedules += [(k, int(g)) for g in groups]
@@ -395,29 +393,24 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
         env_node[: b + 1, lanes] = envelope(nodes)[np.arange(b + 1)[:, None] + chunk]
         env_mid[:b, lanes] = envelope(nodes[:-1] + 0.5 * step)[np.arange(b)[:, None] + chunk]
 
-    # Chunk maps: for each distinct (schedule, amplitude) of a row past
-    # group 1, chunks 1..g - 1 as blocks of d identity columns.
-    later = np.flatnonzero(group[schedule] > 1)
-    keys, key_of = np.unique(np.stack([schedule[later], amps[later]]), axis=1, return_inverse=True)
+    # Chunk maps: each distinct (schedule, amplitude) steps its chunks
+    # 0..g - 1 as g blocks of d identity columns. np.unique orders the
+    # keys by schedule, so the columns' step counts never increase.
+    keys, key_of = np.unique(np.stack([schedule, amps]), axis=1, return_inverse=True)
     key_schedule = keys[0].astype(int)
-    blocks = group[key_schedule] - 1
+    blocks = group[key_schedule]
     first_block = np.cumsum(blocks) - blocks
     block_key = np.repeat(np.arange(len(blocks)), blocks)
-    block_lane = lane0[key_schedule[block_key]] + np.arange(len(block_key)) - first_block[block_key] + 1
-    col_schedule = np.concatenate([schedule, np.repeat(key_schedule[block_key], d)])
-    col_lane = np.concatenate([lane0[schedule], np.repeat(block_lane, d)])
-    col_amp = np.concatenate([amps, np.repeat(keys[1][block_key], d)])
-
-    col_steps = base[col_schedule]
-    order = np.argsort(-col_steps, kind="stable")
-    col_steps, lane = col_steps[order], col_lane[order]
-    a = col_amp[order][None, :]
-    h = steps[col_schedule[order]][None, :]
+    block_schedule = key_schedule[block_key]
+    block_lane = lane0[block_schedule] + np.arange(len(block_key)) - first_block[block_key]
+    col_steps, lane = np.repeat(base[block_schedule], d), np.repeat(block_lane, d)
+    a = np.repeat(keys[1][block_key], d)[None, :]
+    h = np.repeat(steps[block_schedule], d)[None, :]
     half, sixth = 0.5 * h, h / 6.0
-    # One column per row or map column: (d, d) @ (d, columns) products are the fast layout.
-    y = np.ascontiguousarray(np.concatenate([x.T, np.tile(np.eye(d), len(block_key))], axis=1)[:, order], dtype=dtype)
+    # d columns per block: (d, d) @ (d, columns) products are the fast layout.
+    y = np.tile(np.eye(d, dtype=dtype), len(block_key))
     # Step i advances the columns with more than i steps: a prefix of
-    # the sorted columns, which shrinks each time a step count is reached.
+    # the columns, which shrinks each time a step count is reached.
     start = 0
     # An unstable step overflows to inf or nan without a warning, and so
     # may the products with the chunk maps; the caller's check reports the row.
@@ -441,16 +434,13 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
                 k1 *= sm
                 ym += k1
             start = stop
-        columns = np.empty_like(y)
-        columns[:, order] = y
-        out = columns[:, :rows].T.copy()
         # maps[b][:, j] is block b's image of the j-th basis vector
-        maps = columns[:, rows:].reshape(d, -1, d).transpose(1, 0, 2)
-        later_group = group[schedule[later]]
-        for c in range(1, int(group.max(initial=1))):
-            on = later_group > c
-            mapped = later[on]
-            out[mapped] = (maps[first_block[key_of[on]] + c - 1] @ out[mapped, :, None])[..., 0]
+        maps = y.reshape(d, -1, d).transpose(1, 0, 2)
+        out = x.astype(dtype)
+        row_group = group[schedule]
+        for c in range(int(group.max(initial=0))):
+            on = np.flatnonzero(row_group > c)
+            out[on] = (maps[first_block[key_of[on]] + c] @ out[on, :, None])[..., 0]
     return out
 
 
@@ -532,11 +522,13 @@ def lindblad_segment_batch(
     vec(rho), each across its own [-tau_c, tau_c] with the analytic
     super-Gaussian envelope at its stage times, and the superoperators
     of :func:`liouvillian`. The result is real when rho has no imaginary
-    part, complex otherwise.
+    part, complex otherwise. A non-finite amplitude raises ValueError.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
     amps, taus, tau_cs = (np.broadcast_to(np.asarray(v, dtype=float), lead).ravel() for v in (amplitudes, tau, tau_c))
+    if not np.all(np.isfinite(amps)):
+        raise ValueError(f"amplitude must be finite, got {amps[~np.isfinite(amps)][0]}")
     pairs, which = np.unique(np.stack([taus, tau_cs]), axis=1, return_inverse=True)
     shapes = [(partial(super_gaussian, tau=t), -t_c, 2.0 * t_c) for t, t_c in pairs.T]
     l_h, l_d = liouvillian(transition, rates)

@@ -277,7 +277,7 @@ def dissipative_sweep(
     """Propagate a batch of protocols through the Lindblad master equation.
 
     thetas has shape (batch, n_segments); every row is one realisation,
-    and a negative theta raises ValueError.
+    and a negative or non-finite theta raises ValueError.
     The beam-splitter segment is the same for every row and every
     position, so its 9 x 9 map on vec(rho) is integrated once and applied
     as one matmul. A probe segment's map depends only on its shape and
@@ -293,6 +293,8 @@ def dissipative_sweep(
     batch = thetas.shape[0]
     if thetas.shape[1] != n_segments:
         raise ValueError(f"thetas must have {n_segments} columns")
+    if not np.all(np.isfinite(thetas)):
+        raise ValueError(f"theta must be finite, got {thetas[~np.isfinite(thetas)][0]}")
     # Each substep group's Chebyshev nodes cover non-negative amplitudes only.
     if np.any(thetas < 0):
         raise ValueError(f"theta must be non-negative, got {thetas[thetas < 0].flat[0]}")

@@ -422,8 +422,8 @@ def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
     # substep groups 1..8, three rows with different starts per
     # amplitude, so that rows of one (amplitude, shape) share their chunk
     # maps, all interleaved in one call: the rows of each (amplitude,
-    # shape) and of each shape come out as from a call of their own, and
-    # permuting the rows permutes the result.
+    # shape), of each shape and each row alone come out as from a call of
+    # their own, and permuting the rows permutes the result.
     rates, rng = thermal_rates(SAMPLE_1), np.random.default_rng(3)
     amps, taus = [], []
     for duration_ns in (56, 57, 61):
@@ -446,6 +446,8 @@ def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
         rows = (amps == amp) & (taus == tau)
         assert np.count_nonzero(rows) == 3
         np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amp, "12", tau, 2 * tau, rates))
+    for row, start, amp, tau in zip(batch, rho, amps, taus):
+        np.testing.assert_array_equal(row, lindblad_segment_batch(start, amp, "12", tau, 2 * tau, rates))
     perm = rng.permutation(len(amps))
     np.testing.assert_array_equal(
         lindblad_segment_batch(rho[perm], amps[perm], "12", taus[perm], 2 * taus[perm], rates), batch[perm]
@@ -643,12 +645,14 @@ def test_probe_maps_build_every_shape_in_one_segment_call(monkeypatch):
     thetas = np.linspace(0.0, 4.0 * np.pi, 41)
     assert len(np.unique(geometry.b_shape(thetas)[0])) == 6
     # The call costs the longest shape's base steps, 61 loop iterations
-    # (four right-hand sides each), though that shape reaches substep group 8.
-    rhs_calls = []
+    # (four right-hand sides each), though that shape reaches substep group
+    # 8. The first right-hand side steps every chunk map: 190 blocks of 9
+    # identity columns for the 41 strengths and their later chunks.
+    rhs_columns = []
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "rhs" and frame.f_code.co_filename == dynamics.__file__:
-            rhs_calls.append(1)
+            rhs_columns.append(frame.f_locals["y"].shape[1])
 
     sys.setprofile(count)
     try:
@@ -656,7 +660,8 @@ def test_probe_maps_build_every_shape_in_one_segment_call(monkeypatch):
     finally:
         sys.setprofile(None)
     assert calls == ["12"]
-    assert len(rhs_calls) == 4 * 61
+    assert len(rhs_columns) == 4 * 61
+    assert rhs_columns[0] == 1710
 
 
 def breaking_probe_node(node):

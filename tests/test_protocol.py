@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifdsim.dynamics import SAMPLE_1, DecoherenceModel, thermal_state
+from ifdsim.dynamics import SAMPLE_1, DecoherenceModel, lindblad_segment_batch, thermal_rates, thermal_state
 from ifdsim.protocol import (
     OutcomeProbabilities,
     ProtocolSpec,
@@ -189,6 +191,20 @@ def test_ideal_amplitudes_rejects_bad_input():
         ideal_amplitudes(1, [[0.1]], np.array([1j, 0.0, 0.0]))
     with pytest.raises(ValueError):
         ideal_amplitudes(0, np.empty((1, 0)))
+
+
+def test_dissipative_sweep_rejects_non_finite_strength():
+    # A nan or inf strength used to reach substep_counts, which warned and
+    # then cast the count to a negative int; the segment core takes no
+    # non-finite amplitude either. Both raise before numpy warns.
+    basis = np.eye(9).reshape(9, 3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, thetas in ((1, [[np.nan]]), (3, [[0.5, np.inf, 1.0]]), (2, [[-np.inf, 1.0]])):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                dissipative_sweep(thetas, n, SAMPLE_1)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            lindblad_segment_batch(basis, [np.nan] * 9, "12", 14e-9, 28e-9, thermal_rates(SAMPLE_1))
 
 
 # ---------------------------------------------------------------------------
