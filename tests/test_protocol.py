@@ -194,8 +194,8 @@ def test_ideal_amplitudes_rejects_bad_input():
 
 
 def test_dissipative_sweep_rejects_non_finite_strength():
-    # A nan or inf strength used to reach substep_counts, which warned and
-    # then cast the count to a negative int; the segment core takes no
+    # A nan or inf strength must not reach substep_counts, whose int cast
+    # warns and gives a negative count; the segment core takes no
     # non-finite amplitude either. Both raise before numpy warns.
     basis = np.eye(9).reshape(9, 3, 3)
     with warnings.catch_warnings():
