@@ -27,29 +27,26 @@ Every drive is G = sigma^y_kl / 2 on its transition, as in
 :mod:`ifdsim.su3`: a fixed drive phase is the gauge diag(1, e^{ia}, e^{ib}),
 which commutes with the diagonal start states and the pairwise
 dissipator and so moves no population. G is imaginary, so L_H is real,
-as is L_D; thermal, ground and level-1 starts are real too, so RK4 runs
-in real arithmetic, and complex states run through the same code in
-complex arithmetic. Every segment is a linear map on vec(rho), so
-:func:`ifdsim.protocol.dissipative_sweep` integrates only the 9 basis
+as is L_D, and so is every map the solver builds; a complex start goes
+through the same real maps. Every segment is a linear map on vec(rho),
+so :func:`ifdsim.protocol.dissipative_sweep` integrates only the 9 basis
 matrices: the beam splitter once per sweep as a 9 x 9 matrix, and every
-probe shape in one call per sweep at the amplitudes of each substep
-group (:func:`substep_counts`): at its own amplitudes where the group
-has fewer than 16, else at 16 Chebyshev nodes from which every row's map
-is interpolated.
+probe pulse, described by its duration T, in one call per sweep at the
+amplitudes of each substep group (:func:`substep_counts`): at its own
+amplitudes where the group has fewer than 16, else at 16 Chebyshev nodes
+from which every row's map is interpolated.
 
-One RK4 loop (:func:`_rk4_rows`) serves every row of a call, whatever
-its shape and substep group: each row keeps its own step and runs its
-B g steps (B base steps of its shape, g substeps each) as g chunks of B
-steps. Every chunk is stepped once per distinct amplitude and shape, on
-identity columns, and the row is multiplied by its chunk maps in order,
-the exact, linear case of time-parallel integration (M. J. Gander, "50
-years of time parallel time integration", 2015). The maps are laid out
-longest shape first and drop out of the loop once their steps are done,
-so a call costs its longest shape's base steps, not its longest row's
-B g. The same loop also runs the sampled-waveform propagators:
-:func:`propagate_lindblad` on the same superoperators, and
-:func:`propagate_schrodinger` on state vectors with generator -i G and
-no dissipator.
+One RK4 core (:func:`_rk4_maps`) builds every map of a call, one per
+distinct amplitude and shape: B g steps (B base steps of the shape, g
+substeps each) are stepped as g chunk maps of B steps on identity
+columns and composed, the exact, linear case of time-parallel
+integration (M. J. Gander, "50 years of time parallel time integration",
+2015). The chunks are laid out longest shape first and drop out of the
+loop once their steps are done, so a call costs its longest shape's base
+steps, not its longest map's B g. The same core gives the sampled-waveform
+propagators their maps: :func:`propagate_lindblad` on the same
+superoperators, and :func:`propagate_schrodinger` the unitary itself,
+with the real generator -i G and no dissipator.
 """
 
 from __future__ import annotations
@@ -70,6 +67,9 @@ K_B = 1.380649e-23
 # Keep the per-step rotation small enough that classic RK4 stays well
 # below the 1e-6 unitarity/trace guarantees (error ~ (amp*dt/2)^5/120).
 MAX_PHASE_PER_STEP = 0.05
+# Bounds on one segment call's RK4 chunk maps, and on those times its longest B.
+MAX_CHUNK_MAPS = 2**15
+MAX_MAP_STEPS = 2**22
 
 _S01 = np.zeros((3, 3), dtype=complex)
 _S01[0, 1] = 1.0
@@ -321,41 +321,43 @@ def substep_counts(amps, span: float, dt: float) -> tuple[np.ndarray, float]:
     amplitude a takes g = max(1, ceil(a h / MAX_PHASE_PER_STEP)) substeps
     of each. Substep group g therefore holds the amplitudes in
     ((g - 1) w, g w], w = MAX_PHASE_PER_STEP / h, and group 1 also a = 0.
+    A g above MAX_CHUNK_MAPS raises ValueError.
     """
     base_step = span / grid_steps(span, dt)
-    counts = np.maximum(1, np.ceil(np.asarray(amps, dtype=float) * base_step / MAX_PHASE_PER_STEP)).astype(int)
-    return counts, MAX_PHASE_PER_STEP / base_step
+    counts = np.ceil(np.asarray(amps, dtype=float) * base_step / MAX_PHASE_PER_STEP)
+    if np.any(counts > MAX_CHUNK_MAPS):
+        raise ValueError(f"a pulse needs {np.max(counts):.3g} RK4 substeps per base step, more than {MAX_CHUNK_MAPS}")
+    return np.maximum(1, counts).astype(int), MAX_PHASE_PER_STEP / base_step
 
 
-def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
-    """RK4 on dy/dt = (a e(t) L_H + L_D) y for every row y of x, each over its own shape.
+def _rk4_maps(amps, shapes, which, l_h, l_d, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 maps of dy/dt = (a e(t) L_H + L_D) y, one per distinct amplitude and shape.
 
-    x has shape (rows, d) and amps holds each row's amplitude a. shapes
-    is a sequence of (envelope, t0, span), envelope being e(t) with peak
-    1 vectorised over t, and which holds each row's index into shapes:
-    the row runs over [t0, t0 + span] of its shape. A span is cut into
+    amps holds each row's amplitude a. shapes is a sequence of
+    (envelope, t0, span), envelope being e(t) with peak 1 vectorised over
+    t, and which holds each row's index into shapes: the row runs over
+    [t0, t0 + span] of its shape. A span is cut into
     B = grid_steps(span, dt) equal base steps, each split into the
     substeps the row's amplitude needs (:func:`substep_counts`), so a row
     of substep group g takes n = B g steps of span / n, with the envelope
     at its own nodes t0 + (span / n) i and midpoints.
 
     Those n steps run as g chunks of B steps, chunk c over steps c B to
-    (c + 1) B. Every chunk of each distinct (amplitude, shape) of the
-    call is stepped once, on d identity columns, which gives the chunk's
-    d x d map, and each row is then multiplied by its chunk maps
-    0..g - 1 in order. The segment is linear, so this is the same
-    discretisation (Havel, J. Math. Phys. 44, 534 (2003)), with rounding
-    of order 1e-15. One loop steps every column: the blocks are laid out
-    longest shape first, step i advances the prefix of columns that
-    still have steps left, and a finished column is not touched again,
-    so a call costs its longest shape's B steps. A row's arithmetic
-    depends only on its own shape, amplitude and start, so each result
-    is independent of how the batch is composed, shapes included. The
-    result has the common dtype of x, L_H and L_D.
+    (c + 1) B. Each chunk of each distinct (amplitude, shape) is stepped
+    once, on d identity columns, which gives its d x d chunk map, and the
+    key's map composes its chunk maps 0..g - 1 in order: for a linear
+    segment the same discretisation (Havel, J. Math. Phys. 44, 534
+    (2003)), with rounding of order 1e-15. One loop steps every column:
+    the blocks are laid out longest shape first, step i advances the
+    prefix of columns that still have steps left, and a finished column
+    is not touched again, so a call costs its longest shape's B steps. A
+    key's map depends on its shape and amplitude alone.
+
+    L_H and L_D are real, and maps[key_of[r]] is row r's float64 map.
+    More than MAX_CHUNK_MAPS chunk maps, or MAX_MAP_STEPS chunk maps times
+    the longest B, raise ValueError before any array is sized.
     """
-    dtype = np.result_type(x, l_h, l_d)
-    l_h, l_d = l_h.astype(dtype), l_d.astype(dtype)
-    d = x.shape[1]
+    d = len(l_h)
 
     def rhs(y, drive):
         # (drive * L_H + L_D) on columns y; drive holds each column's a e(t)
@@ -367,20 +369,34 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
     # A schedule is one (shape, substep group) pair: its steps share
     # their count, length and envelope samples. Schedules are numbered
     # longest shape first, so their base step counts never increase.
-    schedule = np.empty(len(x), dtype=int)
+    shape_steps = [grid_steps(span, dt) for _, _, span in shapes]
+    schedule = np.empty(len(amps), dtype=int)
     schedules = []  # (shape index, substep group)
-    for k in sorted(range(len(shapes)), key=lambda k: -grid_steps(shapes[k][2], dt)):
+    for k in sorted(range(len(shapes)), key=lambda k: -shape_steps[k]):
         on_shape = np.flatnonzero(which == k)
         subcounts, _ = substep_counts(amps[on_shape], shapes[k][2], dt)
         groups, inverse = np.unique(subcounts, return_inverse=True)
         schedule[on_shape] = len(schedules) + inverse
         schedules += [(k, int(g)) for g in groups]
     group = np.array([g for _, g in schedules], dtype=int)
-    base = np.array([grid_steps(shapes[k][2], dt) for k, _ in schedules], dtype=int)
+
+    # Chunk maps: each distinct (schedule, amplitude) steps its chunks
+    # 0..g - 1 as g blocks of d identity columns. np.unique orders the
+    # keys by schedule, so the columns' step counts never increase.
+    keys, key_of = np.unique(np.stack([schedule, amps]), axis=1, return_inverse=True)
+    key_schedule = keys[0].astype(int)
+    blocks = group[key_schedule]
+    total, longest = int(blocks.sum()), max(shape_steps, default=0)
+    if total > MAX_CHUNK_MAPS or total * longest > MAX_MAP_STEPS:
+        raise ValueError(f"a segment call of {total} RK4 chunk maps over {longest} base steps exceeds the work bound")
+    base = np.array([shape_steps[k] for k, _ in schedules], dtype=int)
+    first_block = np.cumsum(blocks) - blocks
+    block_key = np.repeat(np.arange(len(blocks)), blocks)
+    block_schedule = key_schedule[block_key]
+
     # Envelope samples, one column (lane) per chunk of each schedule:
     # e(t0 + (c B + i) h) and e(t0 + (c B + i + 1/2) h) in lane lane0[s] + c.
     lane0 = np.cumsum(group) - group
-    longest = int(base.max(initial=0))
     env_node = np.zeros((longest + 1, int(group.sum())))
     env_mid = np.zeros((longest, int(group.sum())))
     steps = np.empty(len(schedules))
@@ -393,27 +409,18 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
         env_node[: b + 1, lanes] = envelope(nodes)[np.arange(b + 1)[:, None] + chunk]
         env_mid[:b, lanes] = envelope(nodes[:-1] + 0.5 * step)[np.arange(b)[:, None] + chunk]
 
-    # Chunk maps: each distinct (schedule, amplitude) steps its chunks
-    # 0..g - 1 as g blocks of d identity columns. np.unique orders the
-    # keys by schedule, so the columns' step counts never increase.
-    keys, key_of = np.unique(np.stack([schedule, amps]), axis=1, return_inverse=True)
-    key_schedule = keys[0].astype(int)
-    blocks = group[key_schedule]
-    first_block = np.cumsum(blocks) - blocks
-    block_key = np.repeat(np.arange(len(blocks)), blocks)
-    block_schedule = key_schedule[block_key]
     block_lane = lane0[block_schedule] + np.arange(len(block_key)) - first_block[block_key]
     col_steps, lane = np.repeat(base[block_schedule], d), np.repeat(block_lane, d)
     a = np.repeat(keys[1][block_key], d)[None, :]
     h = np.repeat(steps[block_schedule], d)[None, :]
     half, sixth = 0.5 * h, h / 6.0
     # d columns per block: (d, d) @ (d, columns) products are the fast layout.
-    y = np.tile(np.eye(d, dtype=dtype), len(block_key))
+    y = np.tile(np.eye(d), len(block_key))
     # Step i advances the columns with more than i steps: a prefix of
     # the columns, which shrinks each time a step count is reached.
     start = 0
     # An unstable step overflows to inf or nan without a warning, and so
-    # may the products with the chunk maps; the caller's check reports the row.
+    # may the products of the chunk maps; the caller's check reports the row.
     with np.errstate(over="ignore", invalid="ignore"):
         for stop in sorted(set(col_steps.tolist())):
             m = np.count_nonzero(col_steps > start)
@@ -434,18 +441,17 @@ def _rk4_rows(x, amps, shapes, which, l_h, l_d, dt: float) -> np.ndarray:
                 k1 *= sm
                 ym += k1
             start = stop
-        # maps[b][:, j] is block b's image of the j-th basis vector
-        maps = y.reshape(d, -1, d).transpose(1, 0, 2)
-        out = x.astype(dtype)
-        row_group = group[schedule]
-        for c in range(int(group.max(initial=0))):
-            on = np.flatnonzero(row_group > c)
-            out[on] = (maps[first_block[key_of[on]] + c] @ out[on, :, None])[..., 0]
-    return out
+        # chunks[b][:, j] is block b's image of the j-th basis vector
+        chunks = y.reshape(d, -1, d).transpose(1, 0, 2)
+        maps = chunks[first_block]
+        for c in range(1, int(group.max(initial=0))):
+            on = np.flatnonzero(blocks > c)
+            maps[on] = chunks[first_block[on] + c] @ maps[on]
+    return maps, key_of
 
 
-def _propagate_sampled(spec: DriveHamiltonianSpec, x: np.ndarray, l_h: np.ndarray, l_d: np.ndarray) -> np.ndarray:
-    """The RK4 core across the span of the spec's waveform.
+def _propagate_sampled(spec: DriveHamiltonianSpec, l_h: np.ndarray, l_d: np.ndarray) -> np.ndarray:
+    """The RK4 core's map across the span of the spec's waveform.
 
     The amplitude is the peak sample and the envelope the interpolated
     samples divided by it, on the waveform's own step.
@@ -458,18 +464,18 @@ def _propagate_sampled(spec: DriveHamiltonianSpec, x: np.ndarray, l_h: np.ndarra
         return wave.value_at(t) / scale
 
     shapes = [(envelope, wave.t_start, wave.t_end - wave.t_start)]
-    return _rk4_rows(x, np.full(len(x), peak), shapes, np.zeros(len(x), dtype=int), l_h, l_d, wave.dt)
+    maps, _ = _rk4_maps(np.array([peak]), shapes, np.zeros(1, dtype=int), l_h, l_d, wave.dt)
+    return maps[0]
 
 
 def propagate_schrodinger(spec: DriveHamiltonianSpec) -> Operator3:
     """Unitary generated by the drive, verified to be unitary to 1e-6.
 
-    The RK4 core integrates i du/dt = H(t) u on the three basis vectors,
-    with generator -i G (:func:`drive_generator`) and no dissipator.
+    The RK4 core integrates i du/dt = H(t) u with the real generator
+    -i G (:func:`drive_generator`) and no dissipator; its map is u.
     """
-    gen = -1j * drive_generator(spec.transition)
-    u = _propagate_sampled(spec, np.eye(3, dtype=complex), gen, np.zeros((3, 3))).T
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
+    u = _propagate_sampled(spec, (-1j * drive_generator(spec.transition)).real, np.zeros((3, 3)))
+    defect = np.max(np.abs(u.T @ u - np.eye(3)))
     if defect > 1e-6:
         raise NumericToleranceError(f"propagated unitary defect {defect:.2e} exceeds 1e-6; sample more finely")
     return u
@@ -478,11 +484,12 @@ def propagate_schrodinger(spec: DriveHamiltonianSpec) -> Operator3:
 def propagate_lindblad(rho0: DensityMatrix, spec: DriveHamiltonianSpec, model: DecoherenceModel) -> DensityMatrix:
     """Dissipative evolution of rho0 across the drive span.
 
-    The RK4 core integrates the superoperators of :func:`liouvillian`;
-    the result must pass :func:`check_density_batch`.
+    The RK4 core's map of the superoperators of :func:`liouvillian` acts
+    on vec(rho0); the result must pass :func:`check_density_batch`.
     """
     l_h, l_d = liouvillian(spec.transition, thermal_rates(model))
-    rho = _propagate_sampled(spec, np.reshape(rho0.matrix, (1, 9)), l_h, l_d).reshape(3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = (_propagate_sampled(spec, l_h, l_d) @ rho0.matrix.reshape(9)).reshape(3, 3)
     check_density_batch(rho, "propagate_lindblad")
     return DensityMatrix(0.5 * (rho + rho.conj().T))
 
@@ -509,33 +516,34 @@ def lindblad_segment_batch(
     rho: np.ndarray,
     amplitudes: np.ndarray,
     transition: str,
-    tau: float,
-    tau_c: float,
+    duration: float,
     rates: ThermalRates,
     dt: float = 1e-9,
 ) -> np.ndarray:
     """Propagate a batch of density matrices through one drive segment each.
 
-    rho has shape (..., 3, 3); amplitudes, tau and tau_c broadcast
-    against the leading dimensions, so each matrix has its own amplitude
-    and pulse shape. The RK4 core runs all of them in one loop on
-    vec(rho), each across its own [-tau_c, tau_c] with the analytic
-    super-Gaussian envelope at its stage times, and the superoperators
-    of :func:`liouvillian`. The result is real when rho has no imaginary
-    part, complex otherwise. A non-finite amplitude raises ValueError.
+    rho has shape (..., 3, 3); amplitudes and duration broadcast against
+    the leading dimensions. A pulse of duration T is the analytic
+    super-Gaussian with tau = T / 4 on [-T / 2, T / 2]. The RK4 core builds
+    one real map on vec(rho) per distinct amplitude and duration from
+    :func:`liouvillian`, and each matrix goes through its own. The result
+    is real when rho has no imaginary part, complex otherwise. A
+    non-finite amplitude raises ValueError.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
-    amps, taus, tau_cs = (np.broadcast_to(np.asarray(v, dtype=float), lead).ravel() for v in (amplitudes, tau, tau_c))
+    amps, durations = (np.broadcast_to(np.asarray(v, dtype=float), lead).ravel() for v in (amplitudes, duration))
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"amplitude must be finite, got {amps[~np.isfinite(amps)][0]}")
-    pairs, which = np.unique(np.stack([taus, tau_cs]), axis=1, return_inverse=True)
-    shapes = [(partial(super_gaussian, tau=t), -t_c, 2.0 * t_c) for t, t_c in pairs.T]
-    l_h, l_d = liouvillian(transition, rates)
+    lengths, which = np.unique(durations, return_inverse=True)
+    shapes = [(partial(super_gaussian, tau=t / 4), -t / 2, t) for t in lengths]
+    maps, key_of = _rk4_maps(amps, shapes, which, *liouvillian(transition, rates), dt)
     x = rho.reshape(-1, 9)
     if np.iscomplexobj(x) and not np.any(x.imag):
         x = x.real
-    return _rk4_rows(x, amps, shapes, which, l_h, l_d, dt).reshape(lead + (3, 3))
+    # A non-finite map or start stays in its own rows; the caller's check reports them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (maps[key_of] @ x[:, :, None]).reshape(lead + (3, 3))
 
 
 def check_density_batch(rho: np.ndarray, where: str) -> None:

@@ -180,19 +180,19 @@ class ProbeMaps:
     """Probe segments as 9 x 9 maps on vec(rho), built once for a set of strengths.
 
     thetas holds the strengths to serve, in any shape. A probe's key is
-    its shape, found by its duration tau (b_shape gives tau_c = 2 tau),
+    its duration T (:meth:`~ifdsim.pulses.PulseGeometry.b_durations`)
     and its substep group g (:func:`substep_counts`, width w), in which
     its RK4 map is smooth in the amplitude a. A key with fewer distinct
     amplitudes than CHEBYSHEV_NODES maps each probe exactly at its own
     amplitude. Any other key interpolates its map from CHEBYSHEV_NODES
     Chebyshev points of ((g - 1) w, g w] to rounding level (Trefethen,
     Approximation Theory and Approximation Practice, 2013), summed by
-    Clenshaw's recurrence. Every key's maps come from one
-    :func:`lindblad_segment_batch` call on the 9 basis matrices.
+    Clenshaw's recurrence. One :func:`lindblad_segment_batch` call on the
+    9 basis matrices reads out the core's real map of every (T, amplitude).
     """
 
     def __init__(self, thetas, geometry: PulseGeometry, rates: ThermalRates, dt: float):
-        # tau -> area; (tau, g) -> (exact nodes, their maps) or (None, Chebyshev coefficients in x)
+        # T -> area; (T, g) -> (exact nodes, their maps) or (None, Chebyshev coefficients in x)
         self._geometry, self._dt, self._areas, self._maps = geometry, dt, {}, {}
         angles = np.pi * (np.arange(CHEBYSHEV_NODES) + 0.5) / CHEBYSHEV_NODES
         # c_j = (2 / K) sum_k M(a_k) cos(j angle_k), with c_0 halved
@@ -205,25 +205,25 @@ class ProbeMaps:
                 nodes = (key[1] - 0.5) * width + 0.5 * width * np.cos(angles)
             keys.append((key, nodes))
         amplitudes = np.concatenate([np.empty(0)] + [nodes for _, nodes in keys])[:, None]
-        taus = np.concatenate([np.empty(0)] + [np.full(len(nodes), key[0]) for key, nodes in keys])[:, None]
+        durations = np.concatenate([np.empty(0)] + [np.full(len(nodes), key[0]) for key, nodes in keys])[:, None]
         basis = np.broadcast_to(np.eye(9).reshape(9, 3, 3), (len(amplitudes), 9, 3, 3))
-        maps = lindblad_segment_batch(basis, amplitudes, "12", taus, 2 * taus, rates, dt).reshape(-1, 9, 9)
+        maps = lindblad_segment_batch(basis, amplitudes, "12", durations, rates, dt).reshape(-1, 9, 9)
         for key, nodes in keys:
             block, maps = maps[: len(nodes)], maps[len(nodes) :]
             exact = len(nodes) < CHEBYSHEV_NODES
             self._maps[key] = (nodes, block) if exact else (None, np.einsum("jk,kab->jab", transform, block))
 
     def _keys(self, thetas: np.ndarray):
-        """Each (tau, g) key among the 1-d thetas, with its entries' indices and amplitudes, and w."""
-        taus, _ = self._geometry.b_shape(thetas)
-        for tau in _distinct(taus):
-            if tau not in self._areas:
-                self._areas[tau] = effective_area(tau, 2 * tau)
-            on_shape = np.flatnonzero(taus == tau)
-            amps = amplitude_for_bpulse(thetas[on_shape], self._areas[tau])
-            groups, width = substep_counts(amps, 4 * tau, self._dt)
+        """Each (T, g) key among the 1-d thetas, with its entries' indices and amplitudes, and w."""
+        durations = self._geometry.b_durations(thetas)
+        for duration in _distinct(durations):
+            if duration not in self._areas:
+                self._areas[duration] = effective_area(duration / 4, duration / 2)
+            on_shape = np.flatnonzero(durations == duration)
+            amps = amplitude_for_bpulse(thetas[on_shape], self._areas[duration])
+            groups, width = substep_counts(amps, duration, self._dt)
             for g in _distinct(groups):
-                yield (tau, g), on_shape[groups == g], amps[groups == g], width
+                yield (duration, g), on_shape[groups == g], amps[groups == g], width
 
     def apply(self, vec: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         """Rows of vec(rho), shape (rows, 9), each through the probe of its strength in thetas (rows,).
@@ -307,12 +307,11 @@ def dissipative_sweep(
         rho0 = rho0.real
     rho = np.broadcast_to(rho0, (batch, 3, 3)).copy()
 
-    s_tau, s_tau_c = geo.s_shape()
-    s_amp = amplitude_for_beamsplitter(n_segments, effective_area(s_tau, s_tau_c))
+    s_amp = amplitude_for_beamsplitter(n_segments, effective_area(geo.s_duration / 4, geo.s_duration / 2))
     # Row k of the map is the image of the k-th basis matrix, so
     # vec(rho) @ s_map applies the segment to every row.
     basis = np.eye(9).reshape(9, 3, 3)
-    s_map = lindblad_segment_batch(basis, s_amp, "01", s_tau, s_tau_c, rates, dt).reshape(9, 9)
+    s_map = lindblad_segment_batch(basis, s_amp, "01", geo.s_duration, rates, dt).reshape(9, 9)
     probes = ProbeMaps(thetas, geo, rates, dt)
 
     checkpoints = [rho.copy()] if collect_checkpoints else None

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Standard pulse family: 56 ns total duration, tau_c = 2 tau.
-DEFAULT_TAU = 14e-9
-DEFAULT_TAU_C = 28e-9
+# Standard pulse family: 56 ns total duration T, tau = T / 4, tau_c = T / 2.
+DEFAULT_DURATION = 56e-9
 DEFAULT_SAMPLING_RATE = 1e9
+# Trapezoid steps per tau of effective_area: within 2.6e-8 relative at tau_c = 2 tau.
+AREA_STEPS_PER_TAU = 128
 
 # Amplitude headroom runs out at theta = 3.38 pi for the 56 ns family;
 # beyond it the duration is stepped 1 ns at a time up to 61 ns at 4 pi.
@@ -46,11 +47,10 @@ def super_gaussian(t, tau: float):
     return np.exp(-0.5 * (t / tau) ** 4)
 
 
-def effective_area(tau: float, tau_c: float, dt: float | None = None) -> float:
+def effective_area(tau: float, tau_c: float) -> float:
     """Integral of exp(-(t/tau)^4/2) over [-tau_c, tau_c], in seconds.
 
-    Composite trapezoid; dt defaults to tau/128 which is converged well
-    below 1e-4 relative for this envelope.
+    Composite trapezoid with steps of at most tau / AREA_STEPS_PER_TAU.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -58,12 +58,7 @@ def effective_area(tau: float, tau_c: float, dt: float | None = None) -> float:
         raise ValueError("tau_c must be non-negative")
     if tau_c == 0:
         return 0.0
-    if dt is None:
-        dt = tau / 128.0
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt > tau / 100.0:
-        raise ValueError(f"dt={dt} too coarse for tau={tau} (need dt <= tau/100)")
+    dt = tau / AREA_STEPS_PER_TAU
     n = int(np.ceil(2 * tau_c / dt))
     ts = np.linspace(-tau_c, tau_c, n + 1)
     return float(np.trapezoid(super_gaussian(ts, tau), ts))
@@ -177,22 +172,19 @@ def stretched_duration(theta, base: float = STRETCH_BASE_NS * 1e-9):
 class PulseGeometry:
     """Per-protocol pulse timing: beam-splitter and probe durations."""
 
-    s_duration: float = 4 * DEFAULT_TAU
-    b_duration: float = 4 * DEFAULT_TAU
+    s_duration: float = DEFAULT_DURATION
+    b_duration: float = DEFAULT_DURATION
     sampling_rate: float = DEFAULT_SAMPLING_RATE
     stretch_long_pulses: bool = True
 
-    def s_shape(self) -> tuple[float, float]:
-        return self.s_duration / 4.0, self.s_duration / 2.0
-
-    def b_shape(self, theta):
-        """Probe-pulse (tau, tau_c), elementwise over theta; the 56 ns family stretches above 3.38 pi."""
+    def b_durations(self, theta):
+        """Probe-pulse durations, elementwise over theta; the 56 ns family stretches above 3.38 pi."""
         theta = np.asarray(theta, dtype=float)
         total = np.full(theta.shape, self.b_duration)
         if self.stretch_long_pulses and abs(self.b_duration - 56e-9) < 1e-15:
             long = theta > STRETCH_THETA
             total[long] = stretched_duration(theta[long], self.b_duration)
-        return total / 4.0, total / 2.0
+        return total
 
 
 def geometry_for_n(n_segments: int) -> PulseGeometry:

@@ -36,7 +36,7 @@ from .protocol import (
     run_coherent_ideal,
     run_projective,
 )
-from .quantized import FieldCoupling, run_single_mode
+from .quantized import FieldCoupling, run_single_mode, theta_n
 
 # b_pulse and beam_splitter are not called here; they stay module attributes
 # because the traced benchmark run (perfbench/invoke.py) wraps them by name,
@@ -545,7 +545,7 @@ def _run_quantized_check(config: ExperimentConfig) -> SweepResult:
     for n in _n_range(config, 5):
         for photons in range(1, 5):
             coupling = FieldCoupling(g=np.pi / np.sqrt(photons), t_b=1.0)
-            theta = coupling.g * np.sqrt(photons) * coupling.t_b
+            theta = theta_n(coupling.g, photons, coupling.t_b)
             quantum = run_single_mode(n, photons, coupling).qutrit_marginals()
             classical = run_coherent_ideal(ProtocolSpec(n, [theta] * n)).as_array()
             for level in range(3):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,18 +117,41 @@ def test_cli_choices_come_from_the_scenario_table():
     assert CSV_NAMES == {name: csv_name for name, (_, csv_name) in SCENARIOS.items()}
 
 
-def test_traced_benchmark_names_resolve():
-    # The traced benchmark run wraps each (module, attribute) of its TRACED
-    # table where scenarios and protocol look the name up.
+def perfbench_invoke():
+    """perfbench/invoke.py as a module, loaded from its file without running it."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "invoke.py"
     spec = importlib.util.spec_from_file_location("perfbench_invoke", path)
     invoke = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(invoke)
+    return invoke
+
+
+def test_traced_benchmark_names_resolve():
+    # The traced benchmark run wraps each (module, attribute) of its TRACED
+    # table where scenarios and protocol look the name up.
+    invoke = perfbench_invoke()
     modules = {"scenarios": scenarios, "protocol": protocol}
     missing = [
         (module, attr) for module, attr, _ in invoke.TRACED if not callable(getattr(modules[module], attr, None))
     ]
     assert invoke.TRACED and not missing
+
+
+def test_traced_benchmark_counts_segment_rows(monkeypatch):
+    # The traced benchmark wraps protocol.lindblad_segment_batch by name and
+    # counts rows from its first argument. A dissipative sweep makes two
+    # calls: the beam splitter on the 9 basis matrices, then every probe
+    # node on 9 each (three exact nodes here), and wrapping changes nothing.
+    geometry = PulseGeometry(b_duration=112e-9)
+    thetas = np.pi * np.array([[0.3, 1.0], [0.5, 0.3]])
+    untraced = dissipative_sweep(thetas, 2, SAMPLE_2, geometry=geometry)
+    # recorded so that monkeypatch puts the unwrapped function back
+    monkeypatch.setattr(protocol, "lindblad_segment_batch", protocol.lindblad_segment_batch)
+    tracer = perfbench_invoke().Tracer()
+    tracer.wrap(protocol, "lindblad_segment_batch", "dynamics.segment")
+    traced = dissipative_sweep(thetas, 2, SAMPLE_2, geometry=geometry)
+    assert [span[4] for span in tracer.spans if span[0] == "dynamics.segment"] == [9, 9 * 3]
+    np.testing.assert_array_equal(traced, untraced)
 
 
 def test_theta_broadcasting():
@@ -587,6 +611,27 @@ def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
     proc = run_cli_process("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "text, quantity",
+    [
+        ("pulse.sampling_rate_hz = 1e20\n", "chunk maps over 56000000\\d+ base steps"),
+        ("pulse.b_duration_ns = 1e12\n", "chunk maps over 100000000\\d+ base steps"),
+        ("pulse.b_duration_ns = 112\nsweep.theta_max_pi = 1e6\n", "RK4 substeps per base step"),
+    ],
+    ids=["sampling_rate", "probe_duration", "strength"],
+)
+def test_cli_rk4_work_beyond_bound_exits_2(tmp_path, capsys, text, quantity):
+    # Each asks a segment call for more RK4 work than its bound: the run
+    # stops before any array is sized from it, with a config error that
+    # names the quantity, no traceback and no numpy warning.
+    cfg = write(tmp_path, "big.cfg", "model.kind = lindblad\nsweep.points = 3\n" + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"config error: .*{quantity}.*\n", err)
 
 
 @pytest.mark.parametrize(

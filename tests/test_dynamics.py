@@ -38,6 +38,7 @@ from ifdsim.pulses import PulseEnvelope, PulseGeometry, effective_area, grid_ste
 from ifdsim.su3 import DensityMatrix, PureState, b_pulse, beam_splitter, subspace_pauli
 
 TAU, TAU_C = 14e-9, 28e-9
+DURATION = 2 * TAU_C
 
 
 def closed_model(duration_rates=0.0):
@@ -175,7 +176,7 @@ def test_sampled_lindblad_agrees_with_segment_core(transition, theta, start, bou
     wf = sample_waveform(PulseEnvelope(omega0=amp, tau=TAU, tau_c=TAU_C))
     rho0 = thermal_state(SAMPLE_1) if start == "thermal" else PureState.basis(1).density()
     sampled = propagate_lindblad(rho0, DriveHamiltonianSpec(**{"wave" + transition: wf}), SAMPLE_1)
-    analytic = lindblad_segment_batch(rho0.matrix[None], amp, transition, TAU, TAU_C, thermal_rates(SAMPLE_1))[0]
+    analytic = lindblad_segment_batch(rho0.matrix[None], amp, transition, DURATION, thermal_rates(SAMPLE_1))[0]
     assert np.max(np.abs(sampled.matrix - analytic)) <= bound
 
 
@@ -192,7 +193,7 @@ def test_lindblad_trace_and_positivity_through_protocol():
     rho = thermal_state(SAMPLE_1).matrix[None]
     rates = thermal_rates(SAMPLE_1)
     for transition, amp in (("01", np.pi / (2 * area)), ("12", np.pi / area), ("01", np.pi / (2 * area))):
-        rho = lindblad_segment_batch(rho, np.array([amp]), transition, TAU, TAU_C, rates)
+        rho = lindblad_segment_batch(rho, np.array([amp]), transition, DURATION, rates)
         assert abs(np.trace(rho[0]).real - 1.0) < 1e-8
         assert np.min(np.linalg.eigvalsh(0.5 * (rho[0] + rho[0].conj().T))) > -1e-7
 
@@ -202,8 +203,8 @@ def test_rk4_step_halving_converges():
     rho0 = thermal_state(SAMPLE_1).matrix[None]
     rates = thermal_rates(SAMPLE_1)
     amp = np.array([np.pi / area])
-    coarse = lindblad_segment_batch(rho0, amp, "12", TAU, TAU_C, rates, dt=1e-9)
-    fine = lindblad_segment_batch(rho0, amp, "12", TAU, TAU_C, rates, dt=0.5e-9)
+    coarse = lindblad_segment_batch(rho0, amp, "12", DURATION, rates, dt=1e-9)
+    fine = lindblad_segment_batch(rho0, amp, "12", DURATION, rates, dt=0.5e-9)
     assert np.max(np.abs(coarse - fine)) < 1e-6
 
 
@@ -375,9 +376,9 @@ def test_cached_map_matches_segment(complex_):
     area = effective_area(TAU, TAU_C)
     amp = np.pi / (26 * area)
     basis = np.eye(9).reshape(9, 3, 3)
-    s_map = lindblad_segment_batch(basis, amp, "01", TAU, TAU_C, rates).reshape(9, 9)
+    s_map = lindblad_segment_batch(basis, amp, "01", DURATION, rates).reshape(9, 9)
     batch = np.array([random_hermitian_density(seed, complex_) for seed in range(6)])
-    direct = lindblad_segment_batch(batch, amp, "01", TAU, TAU_C, rates)
+    direct = lindblad_segment_batch(batch, amp, "01", DURATION, rates)
     mapped = (batch.reshape(-1, 9) @ s_map).reshape(-1, 3, 3)
     assert np.max(np.abs(mapped - direct)) <= 1e-13
 
@@ -386,9 +387,9 @@ def test_segment_dtype_follows_data():
     rates = thermal_rates(SAMPLE_1)
     amp = np.pi / effective_area(TAU, TAU_C)
     real_start = thermal_state(SAMPLE_1).matrix[None]  # complex dtype, zero imaginary part
-    assert lindblad_segment_batch(real_start, amp, "12", TAU, TAU_C, rates).dtype == float
+    assert lindblad_segment_batch(real_start, amp, "12", DURATION, rates).dtype == float
     complex_start = random_hermitian_density(2)[None]
-    assert np.iscomplexobj(lindblad_segment_batch(complex_start, amp, "12", TAU, TAU_C, rates))
+    assert np.iscomplexobj(lindblad_segment_batch(complex_start, amp, "12", DURATION, rates))
 
 
 def test_dissipative_sweep_complex_initial_matches_single_rows():
@@ -411,62 +412,62 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
     amp = np.pi / effective_area(TAU, TAU_C)
     rho0 = random_hermitian_density(4)[None]
     for transition in ("01", "12"):
-        reference = lindblad_segment_batch(rho0, amp, transition, TAU, TAU_C, rates, dt=1e-9)
-        other = lindblad_segment_batch(rho0, amp, transition, TAU, TAU_C, rates, dt=1.0 / rate)
+        reference = lindblad_segment_batch(rho0, amp, transition, DURATION, rates, dt=1e-9)
+        other = lindblad_segment_batch(rho0, amp, transition, DURATION, rates, dt=1.0 / rate)
         assert np.max(np.abs(other - reference)) < 1e-6
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
-    # Rows of 56, 57 and 61 ns probes (tau_c = 2 tau) at a = 0 and in
+    # Rows of 56, 57 and 61 ns probes at a = 0 and in
     # substep groups 1..8, three rows with different starts per
     # amplitude, so that rows of one (amplitude, shape) share their chunk
     # maps, all interleaved in one call: the rows of each (amplitude,
     # shape), of each shape and each row alone come out as from a call of
     # their own, and permuting the rows permutes the result.
     rates, rng = thermal_rates(SAMPLE_1), np.random.default_rng(3)
-    amps, taus = [], []
+    amps, durations = [], []
     for duration_ns in (56, 57, 61):
-        tau = duration_ns * 1e-9 / 4
-        _, width = substep_counts([0.0], 4 * tau, 1e-9)
+        duration = duration_ns * 1e-9
+        _, width = substep_counts([0.0], duration, 1e-9)
         groups = np.arange(1, 9)
         amps.append(np.concatenate([[0.0], (groups - 0.5) * width]))
-        assert np.array_equal(substep_counts(amps[-1], 4 * tau, 1e-9)[0], np.concatenate([[1], groups]))
-        taus.append(np.full(len(amps[-1]), tau))
-    amps, taus = np.repeat(np.concatenate(amps), 3), np.repeat(np.concatenate(taus), 3)
+        assert np.array_equal(substep_counts(amps[-1], duration, 1e-9)[0], np.concatenate([[1], groups]))
+        durations.append(np.full(len(amps[-1]), duration))
+    amps, durations = np.repeat(np.concatenate(amps), 3), np.repeat(np.concatenate(durations), 3)
     mix = rng.permutation(len(amps))
-    amps, taus = amps[mix], taus[mix]
+    amps, durations = amps[mix], durations[mix]
     rho = np.array([random_hermitian_density(seed, complex_) for seed in range(len(amps))])
-    batch = lindblad_segment_batch(rho, amps, "12", taus, 2 * taus, rates)
+    batch = lindblad_segment_batch(rho, amps, "12", durations, rates)
     assert np.iscomplexobj(batch) == complex_
-    for tau in np.unique(taus):
-        rows = taus == tau
-        np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amps[rows], "12", tau, 2 * tau, rates))
-    for amp, tau in set(zip(amps.tolist(), taus.tolist())):
-        rows = (amps == amp) & (taus == tau)
+    for duration in np.unique(durations):
+        rows = durations == duration
+        np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amps[rows], "12", duration, rates))
+    for amp, duration in set(zip(amps.tolist(), durations.tolist())):
+        rows = (amps == amp) & (durations == duration)
         assert np.count_nonzero(rows) == 3
-        np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amp, "12", tau, 2 * tau, rates))
-    for row, start, amp, tau in zip(batch, rho, amps, taus):
-        np.testing.assert_array_equal(row, lindblad_segment_batch(start, amp, "12", tau, 2 * tau, rates))
+        np.testing.assert_array_equal(batch[rows], lindblad_segment_batch(rho[rows], amp, "12", duration, rates))
+    for row, start, amp, duration in zip(batch, rho, amps, durations):
+        np.testing.assert_array_equal(row, lindblad_segment_batch(start, amp, "12", duration, rates))
     perm = rng.permutation(len(amps))
     np.testing.assert_array_equal(
-        lindblad_segment_batch(rho[perm], amps[perm], "12", taus[perm], 2 * taus[perm], rates), batch[perm]
+        lindblad_segment_batch(rho[perm], amps[perm], "12", durations[perm], rates), batch[perm]
     )
 
 
-def sequential_rk4(rho, amp, tau, tau_c, rates, dt=1e-9):
+def sequential_rk4(rho, amp, duration, rates, dt=1e-9):
     """Classic RK4 on one row, its B g steps one after another.
 
     The nodes t0 + h i and midpoints (t0 + h i) + h / 2 are those of
-    the segment solver, with B = grid_steps(span, dt) and g the row's
-    substep group.
+    the segment solver, with t0 = -duration / 2, B = grid_steps(duration, dt)
+    and g the row's substep group.
     """
     l_h, l_d = liouvillian("12", rates)
-    span = 2 * tau_c
-    (group,), _ = substep_counts([amp], span, dt)
-    n = grid_steps(span, dt) * int(group)
-    h = span / n
-    nodes = -tau_c + h * np.arange(n + 1)
+    (group,), _ = substep_counts([amp], duration, dt)
+    n = grid_steps(duration, dt) * int(group)
+    h = duration / n
+    nodes = -duration / 2 + h * np.arange(n + 1)
+    tau = duration / 4
     drive, drive_mid = amp * super_gaussian(nodes, tau), amp * super_gaussian(nodes[:-1] + 0.5 * h, tau)
 
     def f(y, a):
@@ -488,19 +489,19 @@ def test_chunked_segment_matches_sequential_rk4(complex_):
     # call: composing a row's chunk maps agrees with stepping it through
     # all of its steps in sequence.
     rates = thermal_rates(SAMPLE_1)
-    amps, taus = [], []
+    amps, durations = [], []
     for duration_ns in (56, 61):
-        tau = duration_ns * 1e-9 / 4
+        duration = duration_ns * 1e-9
         groups = np.array([1, 2, 8])
-        _, width = substep_counts([0.0], 4 * tau, 1e-9)
+        _, width = substep_counts([0.0], duration, 1e-9)
         amps.append((groups - 0.5) * width)
-        assert np.array_equal(substep_counts(amps[-1], 4 * tau, 1e-9)[0], groups)
-        taus.append(np.full(len(groups), tau))
-    amps, taus = np.concatenate(amps), np.concatenate(taus)
+        assert np.array_equal(substep_counts(amps[-1], duration, 1e-9)[0], groups)
+        durations.append(np.full(len(groups), duration))
+    amps, durations = np.concatenate(amps), np.concatenate(durations)
     rho = np.array([random_hermitian_density(seed, complex_) for seed in range(len(amps))])
-    batch = lindblad_segment_batch(rho, amps, "12", taus, 2 * taus, rates)
-    for row, start, amp, tau in zip(batch, rho, amps, taus):
-        assert np.max(np.abs(row - sequential_rk4(start, amp, tau, 2 * tau, rates))) <= 1e-13
+    batch = lindblad_segment_batch(rho, amps, "12", durations, rates)
+    for row, start, amp, duration in zip(batch, rho, amps, durations):
+        assert np.max(np.abs(row - sequential_rk4(start, amp, duration, rates))) <= 1e-13
 
 
 def test_later_group_failures_are_reported_by_row():
@@ -509,25 +510,24 @@ def test_later_group_failures_are_reported_by_row():
     # past RK4's stability grows every row finite at 1e10/s and overflows
     # at 1e11/s. Each is reported with the guard's usual message and no
     # warning, and a batch of no rows still runs.
-    tau = 14e-9
-    _, width = substep_counts([0.0], 4 * tau, 1e-9)
+    _, width = substep_counts([0.0], DURATION, 1e-9)
     amps = np.array([1.5, 7.5, 7.5, 1.5]) * width
-    assert np.array_equal(substep_counts(amps, 4 * tau, 1e-9)[0], [2, 8, 8, 2])
+    assert np.array_equal(substep_counts(amps, DURATION, 1e-9)[0], [2, 8, 8, 2])
     rho = np.array([random_hermitian_density(seed, complex_=False) for seed in range(len(amps))])
     rho[2, 1, 1] = np.nan
     rates = thermal_rates(SAMPLE_1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = lindblad_segment_batch(rho, amps, "12", tau, 2 * tau, rates)
+        out = lindblad_segment_batch(rho, amps, "12", DURATION, rates)
         check_density_batch(out[[0, 1, 3]], "probe 1 of 2")
         with pytest.raises(NumericToleranceError, match=r"^probe 1 of 2, row 2: non-finite density matrix$"):
             check_density_batch(out, "probe 1 of 2")
         for gamma, message in ((1e10, r"trace drift \S+ exceeds 1e-6"), (1e11, "non-finite density matrix")):
             stiff = thermal_rates(DecoherenceModel(**{**SAMPLE_1.__dict__, "gamma10": gamma}))
-            out = lindblad_segment_batch(rho[[0, 1]], amps[[0, 1]], "12", tau, 2 * tau, stiff)
+            out = lindblad_segment_batch(rho[[0, 1]], amps[[0, 1]], "12", DURATION, stiff)
             with pytest.raises(NumericToleranceError, match=rf"^probe 1 of 2, row \d: {message}$"):
                 check_density_batch(out, "probe 1 of 2")
-        empty = lindblad_segment_batch(np.zeros((0, 3, 3)), np.zeros(0), "12", tau, 2 * tau, rates)
+        empty = lindblad_segment_batch(np.zeros((0, 3, 3)), np.zeros(0), "12", DURATION, rates)
         assert empty.shape == (0, 3, 3)
         check_density_batch(empty, "probe 1 of 2")
 
@@ -540,16 +540,16 @@ def probe_map_error(duration_ns, complex_, model, seed, amps, exact):
     amplitudes than CHEBYSHEV_NODES if exact, else at least as many.
     """
     geometry = PulseGeometry(b_duration=duration_ns * 1e-9, stretch_long_pulses=False)
-    tau, tau_c = (float(v) for v in geometry.b_shape(0.0))
-    area = effective_area(tau, tau_c)
+    duration = float(geometry.b_durations(0.0))
+    area = effective_area(duration / 4, duration / 2)
     thetas = amps * area
     amps = thetas / area
-    groups, _ = substep_counts(amps, 2 * tau_c, 1e-9)
+    groups, _ = substep_counts(amps, duration, 1e-9)
     for g in np.unique(groups):
         assert (len(np.unique(amps[groups == g])) < protocol.CHEBYSHEV_NODES) == exact
     rho = np.array([random_hermitian_density(seed + i, complex_) for i in range(len(amps))])
     rates = thermal_rates(model)
-    direct = lindblad_segment_batch(rho, amps, "12", tau, tau_c, rates)
+    direct = lindblad_segment_batch(rho, amps, "12", duration, rates)
     probes = ProbeMaps(thetas[:, None], geometry, rates, 1e-9)
     mapped = probes.apply(rho.reshape(-1, 9), thetas).reshape(-1, 3, 3)
     assert np.iscomplexobj(mapped) == complex_
@@ -643,7 +643,7 @@ def test_probe_maps_build_every_shape_in_one_segment_call(monkeypatch):
     monkeypatch.setattr(protocol, "lindblad_segment_batch", recording)
     geometry = PulseGeometry(b_duration=56e-9)
     thetas = np.linspace(0.0, 4.0 * np.pi, 41)
-    assert len(np.unique(geometry.b_shape(thetas)[0])) == 6
+    assert len(np.unique(geometry.b_durations(thetas))) == 6
     # The call costs the longest shape's base steps, 61 loop iterations
     # (four right-hand sides each), though that shape reaches substep group
     # 8. The first right-hand side steps every chunk map: 190 blocks of 9
@@ -699,7 +699,7 @@ def test_probe_key_is_exact_below_chebyshev_nodes_amplitudes(monkeypatch, distin
 
     monkeypatch.setattr(protocol, "lindblad_segment_batch", recording)
     geometry = PulseGeometry(b_duration=112e-9)
-    tau, tau_c = (float(v) for v in geometry.b_shape(0.0))
+    duration = float(geometry.b_durations(0.0))
     # At 112 ns every strength up to 0.8 pi takes one substep per base
     # step; each strength appears twice, in one substep group.
     strengths = np.pi * np.linspace(0.1, 0.8, distinct)
@@ -707,7 +707,7 @@ def test_probe_key_is_exact_below_chebyshev_nodes_amplitudes(monkeypatch, distin
     rho = dissipative_sweep(thetas, 1, SAMPLE_2, geometry=geometry)
     (used,) = nodes
     exact = distinct < protocol.CHEBYSHEV_NODES
-    assert np.array_equal(used, strengths / effective_area(tau, tau_c)) == exact
+    assert np.array_equal(used, strengths / effective_area(duration / 4, duration / 2)) == exact
     assert len(used) == (distinct if exact else protocol.CHEBYSHEV_NODES)
     # Each row alone is a key of one amplitude, always exact.
     for row, theta in zip(rho, thetas):

@@ -21,6 +21,7 @@ from ifdsim.protocol import (
     run_projective,
     segment_absorption_compare,
 )
+from ifdsim.pulses import PulseGeometry
 from ifdsim.su3 import PureState, b_pulse, beam_splitter, subspace_pauli
 
 
@@ -204,7 +205,25 @@ def test_dissipative_sweep_rejects_non_finite_strength():
             with pytest.raises(ValueError, match="theta must be finite"):
                 dissipative_sweep(thetas, n, SAMPLE_1)
         with pytest.raises(ValueError, match="amplitude must be finite"):
-            lindblad_segment_batch(basis, [np.nan] * 9, "12", 14e-9, 28e-9, thermal_rates(SAMPLE_1))
+            lindblad_segment_batch(basis, [np.nan] * 9, "12", 56e-9, thermal_rates(SAMPLE_1))
+
+
+def test_dissipative_sweep_bounds_rk4_work():
+    # A strength of 1e300 would overflow the int cast of substep_counts,
+    # and 1e6 pi on a 112 ns probe asks for about a million substeps per
+    # base step. 2000 strengths up to 2000 pi ask the core for millions of
+    # chunk maps, and a 10 ms probe for 1e7 base steps. Each raises before
+    # any array is sized from it, and before numpy warns.
+    geometry = PulseGeometry(b_duration=112e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (1e300, 1e6 * np.pi):
+            with pytest.raises(ValueError, match="RK4 substeps per base step, more than"):
+                dissipative_sweep([[theta]], 1, SAMPLE_1, geometry=geometry)
+        with pytest.raises(ValueError, match=r"^a segment call of \d+ RK4 chunk maps over 112 base steps"):
+            dissipative_sweep(np.linspace(0.0, 2000 * np.pi, 2000)[:, None], 1, SAMPLE_1, geometry=geometry)
+        with pytest.raises(ValueError, match=r"^a segment call of 1 RK4 chunk maps over 1000000\d base steps"):
+            dissipative_sweep([[np.pi]], 1, SAMPLE_1, geometry=PulseGeometry(b_duration=1e-2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma, gammainc
 
 from ifdsim.config import parse_config_text
 from ifdsim.dynamics import DriveHamiltonianSpec, operator_distance_2norm, propagate_schrodinger
@@ -46,20 +47,22 @@ def test_effective_area_reference_values():
 
 
 def test_effective_area_converged_and_linear():
-    coarse = effective_area(TAU, TAU_C, dt=TAU / 128)
-    fine = effective_area(TAU, TAU_C, dt=TAU / 256)
-    assert abs(coarse - fine) / fine < 1e-4
+    # At tau_c = 2 tau the exact area is tau 2^(1/4) Gamma(1/4) P(1/4, 8) / 2,
+    # and the trapezoid's step scales with tau, so its error is scale-free.
+    for tau in (1e-9, TAU, 28e-9, 61e-9 / 4, 1e-3):
+        exact = tau * 2**0.25 * gamma(0.25) * gammainc(0.25, 8.0) / 2
+        assert effective_area(tau, 2 * tau) == pytest.approx(exact, rel=3e-8)
     # linear in tau at fixed tau_c / tau
     a1 = effective_area(TAU, 2 * TAU)
     a2 = effective_area(3 * TAU, 6 * TAU)
     assert a2 / a1 == pytest.approx(3.0, rel=1e-4)
 
 
-def test_effective_area_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        effective_area(TAU, TAU_C, dt=1e-9)  # tau/100 = 0.14 ns
+def test_effective_area_rejects_negative_widths():
     with pytest.raises(ValueError):
         effective_area(-TAU, TAU_C)
+    with pytest.raises(ValueError):
+        effective_area(TAU, -TAU_C)
 
 
 def test_amplitude_calibration():
@@ -136,9 +139,7 @@ def test_duration_for_theta_table():
     assert stretched_duration(3.38 * np.pi) == pytest.approx(56e-9)
     assert stretched_duration(4 * np.pi) == pytest.approx(61e-9)
     assert round(float(stretched_duration(3.5 * np.pi)) * 1e9) in (57, 58)
-    tau, tau_c = PulseGeometry().b_shape(3.5 * np.pi)
-    assert 4 * tau == stretched_duration(3.5 * np.pi)
-    assert tau_c == pytest.approx(2 * tau)
+    assert PulseGeometry().b_durations(3.5 * np.pi) == stretched_duration(3.5 * np.pi)
     with pytest.raises(ValueError):
         stretched_duration(-0.1)
     with pytest.raises(ValueError):
@@ -152,8 +153,7 @@ def test_stretch_rule_array_form_matches_scalar_calls():
     for theta, total in zip(thetas, totals):
         assert stretched_duration(theta) == total
     for geo in (PulseGeometry(), PulseGeometry(b_duration=112e-9), PulseGeometry(stretch_long_pulses=False)):
-        tau, tau_c = geo.b_shape(thetas)
-        assert [(a, b) for a, b in zip(tau, tau_c)] == [geo.b_shape(t) for t in thetas]
+        assert list(geo.b_durations(thetas)) == [geo.b_durations(t) for t in thetas]
     for bad in (-0.1, 4.01 * np.pi, np.nan):
         with pytest.raises(ValueError, match=r"theta must be in \[0, 4 pi\]"):
             stretched_duration([np.pi, bad])
@@ -166,8 +166,7 @@ def test_56ns_probe_has_one_duration_however_spelt():
     thetas = np.linspace(0.0, 4 * np.pi, 41)
     durations = []
     for geo in (geometry_for_n(2), parse_config_text("scenario = n2_map\n").geometry(default_b_ns=56.0)):
-        _, tau_c = geo.b_shape(thetas)
-        totals = np.unique(2 * tau_c)
+        totals = np.unique(geo.b_durations(thetas))
         assert len(totals) == 6 and totals[0] == geo.b_duration
         durations.append(totals)
     assert durations[0][0] != durations[1][0]
@@ -180,8 +179,8 @@ def test_duration_stretch_lowers_amplitude():
     area_56 = effective_area(14e-9, 28e-9)
     ceiling = amplitude_for_bpulse(4 * np.pi, effective_area(61e-9 / 4, 61e-9 / 2))
     for theta in np.linspace(3.39 * np.pi, 4 * np.pi, 12):
-        tau, tau_c = PulseGeometry().b_shape(theta)
-        amp = amplitude_for_bpulse(theta, effective_area(tau, tau_c))
+        duration = PulseGeometry().b_durations(theta)
+        amp = amplitude_for_bpulse(theta, effective_area(duration / 4, duration / 2))
         assert amp <= amplitude_for_bpulse(theta, area_56)
         assert amp <= ceiling * 1.0001
 
@@ -189,7 +188,8 @@ def test_duration_stretch_lowers_amplitude():
 @pytest.mark.parametrize("theta_pi", [0.25, 1.0, 2.0, 3.0, 3.9])
 def test_calibration_round_trip(theta_pi):
     theta = theta_pi * np.pi
-    tau, tau_c = PulseGeometry().b_shape(theta)
+    duration = float(PulseGeometry().b_durations(theta))
+    tau, tau_c = duration / 4, duration / 2
     area = effective_area(tau, tau_c)
     wf = sample_waveform(
         PulseEnvelope(omega0=amplitude_for_bpulse(theta, area), tau=tau, tau_c=tau_c)
@@ -202,9 +202,9 @@ def test_geometry_defaults():
     assert geometry_for_n(2).b_duration == pytest.approx(56e-9)
     assert geometry_for_n(3).b_duration == pytest.approx(112e-9)
     geo = PulseGeometry()
-    assert geo.s_shape() == (14e-9, 28e-9)
+    assert geo.s_duration == 56e-9
     # the 112 ns family never stretches
     long = PulseGeometry(b_duration=112e-9)
-    assert long.b_shape(3.9 * np.pi) == (28e-9, 56e-9)
-    assert geo.b_shape(3.9 * np.pi)[0] > 14e-9
+    assert long.b_durations(3.9 * np.pi) == 112e-9
+    assert geo.b_durations(3.9 * np.pi) > 56e-9
 
