@@ -8,7 +8,6 @@ to angular internally) and durations in ns.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -220,5 +219,7 @@ def point_seed(base_seed: int, n: int, m: int) -> int:
     SHA-256("ifdsim:{base_seed}:{n}:{m}"); this derivation is part of the
     output-stability contract and must not change between versions.
     """
+    import hashlib  # loads OpenSSL, about 3.5 MB resident: only seeded runs pay it
+
     digest = hashlib.sha256(f"ifdsim:{base_seed}:{n}:{m}".encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

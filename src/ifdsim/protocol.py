@@ -260,8 +260,13 @@ def _clenshaw(v: np.ndarray, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     # caller's check reports the row.
     with np.errstate(over="ignore", invalid="ignore"):
         b1 = b2 = 0.0
+        x2 = 2.0 * x
         for c in coeffs[:0:-1]:
-            b1, b2 = v @ c + 2.0 * x * b1 - b2, b1
+            # v @ c + 2x b1 - b2, in that order, without temporaries
+            t = v @ c
+            t += x2 * b1
+            t -= b2
+            b1, b2 = t, b1
         return v @ coeffs[0] + x * b1 - b2
 
 

@@ -65,10 +65,17 @@ def effective_area(tau: float, tau_c: float) -> float:
 
 
 def amplitude_for_bpulse(theta: float, area: float) -> float:
-    """Peak amplitude giving probe-pulse strength theta for the given area."""
+    """Peak amplitude giving probe-pulse strength theta for the given area.
+
+    A strength whose amplitude overflows float64 raises ValueError.
+    """
     if area <= 0:
         raise ValueError("area must be positive")
-    return theta / area
+    with np.errstate(over="ignore"):
+        amp = theta / area
+    if not np.all(np.isfinite(amp)):
+        raise ValueError(f"a probe strength of {np.max(theta) / np.pi:.3g} pi has no finite amplitude")
+    return amp
 
 
 def amplitude_for_beamsplitter(n_segments: int, area: float) -> float:
@@ -123,8 +130,13 @@ def grid_steps(span: float, dt: float) -> int:
 
     span / dt carries rounding (60.00000000000001 for 60 ns at 1 GS/s);
     the tolerance keeps a whole number of samples from gaining a step.
+    A count beyond the float64 range raises ValueError.
     """
-    return max(1, int(np.ceil(span / dt - 1e-9)))
+    with np.errstate(over="ignore"):
+        steps = np.ceil(span / dt - 1e-9)
+    if not np.isfinite(steps):
+        raise ValueError(f"a span of {span:.3g} s in steps of {dt:.3g} s needs {steps} RK4 base steps")
+    return max(1, int(steps))
 
 
 def sample_waveform(pulse: PulseEnvelope, sampling_rate: float = DEFAULT_SAMPLING_RATE) -> SampledWaveform:

@@ -613,19 +613,43 @@ def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_unseeded_runs_leave_openssl_out(tmp_path):
+    # hashlib loads OpenSSL's libcrypto through _hashlib, about 3.5 MB of
+    # peak RSS; only config.point_seed needs it, so only the runs that
+    # draw seeded strengths or shots load it.
+    runs = [
+        ("n2_map", "model.kind = lindblad_depol\nsweep.points = 5\n"),
+        ("n1_sweep", "sweep.points = 5\n"),
+        ("multi_random", "model.kind = lindblad_depol\nsweep.n_min = 3\nsweep.n_max = 3\nsweep.m = 4\n"),
+    ]
+    loaded = "print([name for name in ('hashlib', '_hashlib') if name in sys.modules])"
+    code = ["import sys", "from ifdsim.cli import main", loaded]
+    for i, (scenario, text) in enumerate(runs):
+        config = tmp_path / f"{scenario}.cfg"
+        config.write_text(text)
+        code += [f"main([{scenario!r}, '--config', {str(config)!r}, '--out', {str(tmp_path / str(i))!r}])", loaded]
+    proc = run_cli_process("-c", "; ".join(code))
+    assert proc.returncode == 0, proc.stderr
+    after = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert after == ["[]", "[]", "[]", "['hashlib', '_hashlib']"]
+
+
 @pytest.mark.parametrize(
     "text, quantity",
     [
         ("pulse.sampling_rate_hz = 1e20\n", "chunk maps over 56000000\\d+ base steps"),
         ("pulse.b_duration_ns = 1e12\n", "chunk maps over 100000000\\d+ base steps"),
         ("pulse.b_duration_ns = 112\nsweep.theta_max_pi = 1e6\n", "RK4 substeps per base step"),
+        ("pulse.s_duration_ns = 1e300\npulse.sampling_rate_hz = 1e20\n", "needs inf RK4 base steps"),
+        ("pulse.b_duration_ns = 112\nsweep.theta_max_pi = 1e302\n", r"probe strength of 1e\+302 pi"),
     ],
-    ids=["sampling_rate", "probe_duration", "strength"],
+    ids=["sampling_rate", "probe_duration", "strength", "step_count_overflow", "amplitude_overflow"],
 )
 def test_cli_rk4_work_beyond_bound_exits_2(tmp_path, capsys, text, quantity):
-    # Each asks a segment call for more RK4 work than its bound: the run
-    # stops before any array is sized from it, with a config error that
-    # names the quantity, no traceback and no numpy warning.
+    # Each asks a segment call for more RK4 work than its bound, or for a
+    # step count or amplitude beyond float64: the run stops before any
+    # array is sized from it, with a config error that names the
+    # quantity, no traceback and no numpy warning.
     cfg = write(tmp_path, "big.cfg", "model.kind = lindblad\nsweep.points = 3\n" + text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
