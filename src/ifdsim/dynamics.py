@@ -388,7 +388,7 @@ def _rk4_maps(amps, shapes, which, l_h, l_d, dt: float) -> tuple[np.ndarray, np.
     blocks = group[key_schedule]
     total, longest = int(blocks.sum()), max(shape_steps, default=0)
     if total > MAX_CHUNK_MAPS or total * longest > MAX_MAP_STEPS:
-        raise ValueError(f"a segment call of {total} RK4 chunk maps over {longest} base steps exceeds the work bound")
+        raise ValueError(f"a segment call of {total:.3g} RK4 chunk maps over {longest:.3g} base steps exceeds the work bound")
     base = np.array([shape_steps[k] for k, _ in schedules], dtype=int)
     first_block = np.cumsum(blocks) - blocks
     block_key = np.repeat(np.arange(len(blocks)), blocks)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import UndefinedRatioError
 from .protocol import OutcomeProbabilities
+from .rng import multinomial
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,12 @@ def cumulative_absorption(per_segment) -> float:
 
 
 def sample_shots(p: OutcomeProbabilities, n_shots: int, seed: int) -> ShotCounts:
-    """Multinomial draw of detector clicks; deterministic for a fixed seed."""
+    """Multinomial draw of detector clicks: np.random.default_rng(seed).multinomial(n_shots, p).
+
+    The clipped, renormalised probabilities go to :func:`rng.multinomial`,
+    a port of numpy's sampler that equals its counts bit for bit for a
+    seed < 2**64 without importing numpy.random.
+    """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     probs = p.as_array()
@@ -66,5 +72,5 @@ def sample_shots(p: OutcomeProbabilities, n_shots: int, seed: int) -> ShotCounts
         raise ValueError(f"outcome probabilities must sum to 1, got {probs}")
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    counts = np.random.default_rng(seed).multinomial(n_shots, probs)
-    return ShotCounts(d0=int(counts[0]), d1=int(counts[1]), d2=int(counts[2]))
+    d0, d1, d2 = multinomial(seed, n_shots, probs.tolist())
+    return ShotCounts(d0=d0, d1=d1, d2=d2)

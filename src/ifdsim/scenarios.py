@@ -37,6 +37,7 @@ from .protocol import (
     run_projective,
 )
 from .quantized import FieldCoupling, run_single_mode, theta_n
+from .rng import next64, pcg64
 
 # b_pulse and beam_splitter are not called here; they stay module attributes
 # because the traced benchmark run (perfbench/invoke.py) wraps them by name,
@@ -314,92 +315,21 @@ def _run_multi_identical(config: ExperimentConfig) -> SweepResult:
     )
 
 
-# numpy's default_rng(seed) stream for many seeds at once: SeedSequence
-# (NEP 19; a pool of four uint32 words) seeds PCG64 (O'Neill 2014: a
-# 128-bit LCG, here in two uint64 limbs, with the XSL-RR output). All
-# arithmetic wraps, as it does in numpy's C code.
-_MASK32 = np.uint64(0xFFFFFFFF)
-_PCG_MULT = (np.uint64(2549297995355413924), np.uint64(4865540595714422341))  # (high, low)
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix on uint32 words: xor with a running constant, step it, multiply by it."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, np.uint64) for every seed s < 2**64, shape (4, len(seeds)).
-
-    A seed below 2**32 is one entropy word and a larger one two, low word
-    first; either way the pool hashes the words padded with zeros to four.
-    """
-
-    def mix(x, y):
-        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return result ^ (result >> np.uint32(16))
-
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    pool = [hashmix(word) for word in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    output = _hasher(0x8B51F9DD, 0x58F38DED)
-    state = [output(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return np.stack([state[2 * k] | (state[2 * k + 1] << np.uint64(32)) for k in range(4)])
-
-
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """The high 64 bits of the 128-bit product a * b, from 32-bit halves."""
-    a0, a1 = a & _MASK32, a >> np.uint64(32)
-    b0, b1 = b & _MASK32, b >> np.uint64(32)
-    lo_lo, hi_lo = a0 * b0, a1 * b0
-    cross = (lo_lo >> np.uint64(32)) + (hi_lo & _MASK32) + a0 * b1
-    return (hi_lo >> np.uint64(32)) + (cross >> np.uint64(32)) + a1 * b1
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    lo = lo + add_lo
-    return hi + add_hi + (lo < add_lo), lo
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """(hi, lo) * multiplier + inc mod 2**128, in 64-bit limbs."""
-    mult_hi, mult_lo = _PCG_MULT
-    return _add128(_mulhi(lo, mult_lo) + hi * mult_lo + lo * mult_hi, lo * mult_lo, inc_hi, inc_lo)
-
-
 def _seeded_strengths(seeds: np.ndarray, n: int, kind: str) -> np.ndarray:
     """The (len(seeds), n) strengths np.random.default_rng(s) draws for each seed s < 2**64.
 
     uniform: rng.uniform(0, pi, n); binary: rng.integers(0, 2, n) * pi.
     """
-    w0, w1, w2, w3 = _seed_words(np.asarray(seeds, dtype=np.uint64))
-    one = np.uint64(1)
-    inc_hi, inc_lo = (w2 << one) | (w3 >> np.uint64(63)), (w3 << one) | one
-    hi, lo = _lcg_step(*_add128(inc_hi, inc_lo, w0, w1), inc_hi, inc_lo)
-    draws = np.empty((len(w0), n if kind == "uniform" else (n + 1) // 2), dtype=np.uint64)
+    state, inc = pcg64(np.asarray(seeds, dtype=np.uint64))
+    draws = np.empty((len(seeds), n if kind == "uniform" else (n + 1) // 2), dtype=np.uint64)
     for k in range(draws.shape[1]):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        draws[:, k] = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        state, draws[:, k] = next64(state, inc)
     if kind == "uniform":
         return np.pi * ((draws >> np.uint64(11)) * 2.0**-53)
     # Each 64-bit draw gives two 32-bit draws, low half first; integers(0, 2)
     # takes the top bit of each.
-    bits = np.stack([(draws >> np.uint64(31)) & one, draws >> np.uint64(63)], axis=2)
-    return bits.reshape(len(w0), -1)[:, :n] * np.pi
+    bits = np.stack([(draws >> np.uint64(31)) & np.uint64(1), draws >> np.uint64(63)], axis=2)
+    return bits.reshape(len(seeds), -1)[:, :n] * np.pi
 
 
 def _random_thetas(config: ExperimentConfig, n: int, m_count: int, kind: str) -> np.ndarray:

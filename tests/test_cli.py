@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ifdsim
-from ifdsim import ConfigError, NumericToleranceError, protocol, scenarios
+from ifdsim import ConfigError, NumericToleranceError, metrics, protocol, rng, scenarios
 from ifdsim.cli import build_parser, main
 from ifdsim.config import KNOWN_KEYS, load_config, parse_config_text, point_seed
 from ifdsim.dynamics import SAMPLE_2, thermal_state
@@ -193,7 +193,7 @@ def test_seeded_strengths_are_numpys_default_rng_stream(n):
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
     seeds += [point_seed(base, n, m) for base in (0, 1, 7919, 2**64 - 1) for m in (1, 2, 400)]
     array = np.array(seeds, dtype=np.uint64)
-    words = scenarios._seed_words(array)
+    words = rng._seed_words(array)
     for i, seed in enumerate(seeds):
         np.testing.assert_array_equal(words[:, i], np.random.SeedSequence(seed).generate_state(4, np.uint64))
     for kind in ("uniform", "binary"):
@@ -216,6 +216,24 @@ def test_multi_random_builds_no_generator(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     assert main(["multi_random", "--config", cfg, "--out", str(tmp_path / "port")]) == 0
     for name in ("multi.csv", "summary.json"):
+        assert (tmp_path / "port" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
+
+
+@pytest.mark.parametrize("shots", [1_000_000, 2**63 - 1])
+def test_histogram_builds_no_generator(tmp_path, monkeypatch, shots):
+    # The shot counts come without a numpy generator and are written as
+    # the bytes that default_rng(point_seed).multinomial gives.
+    cfg = write(tmp_path, "h.cfg", f"histogram.shots = {shots}\nhistogram.theta_pi = 0.7\nrng_seed = 7919\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "multinomial", lambda seed, n, p: np.random.default_rng(seed).multinomial(n, p).tolist())
+        assert main(["histogram", "--config", cfg, "--out", str(tmp_path / "numpy")]) == 0
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("histogram built a numpy generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert main(["histogram", "--config", cfg, "--out", str(tmp_path / "port")]) == 0
+    for name in ("histogram.csv", "summary.json"):
         assert (tmp_path / "port" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
 
 
@@ -595,11 +613,14 @@ def test_cli_import_leaves_scipy_out():
 def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
     # numpy 2 imports numpy.ma on the first plain np.unique call, about
     # 16 ms of a fresh process; the dissipative path asks for inverses.
-    # numpy.random, about 1.7 MB of peak RSS, loads with the first
-    # generator; the random strengths are drawn without one.
+    # numpy.random loads with the first generator, 5.3 MB of peak RSS over
+    # import ifdsim.cli (1.7 MB beyond the OpenSSL that hashlib maps as
+    # well); the random strengths and the shot counts are drawn without one.
     runs = [
         ("multi_random", "model.kind = lindblad_depol\nsweep.n_min = 3\nsweep.n_max = 4\nsweep.m = 10\n"),
         ("n2_map", "model.kind = lindblad\nsweep.points = 5\n"),
+        ("histogram", ""),
+        ("n1_sweep", "sweep.points = 5\n"),
     ]
     calls = []
     for i, (scenario, text) in enumerate(runs):
@@ -637,13 +658,14 @@ def test_unseeded_runs_leave_openssl_out(tmp_path):
 @pytest.mark.parametrize(
     "text, quantity",
     [
-        ("pulse.sampling_rate_hz = 1e20\n", "chunk maps over 56000000\\d+ base steps"),
-        ("pulse.b_duration_ns = 1e12\n", "chunk maps over 100000000\\d+ base steps"),
+        ("pulse.sampling_rate_hz = 1e20\n", r"chunk maps over 5\.6e\+12 base steps"),
+        ("pulse.b_duration_ns = 1e12\n", r"chunk maps over 1e\+12 base steps"),
+        ("pulse.b_duration_ns = 1e300\n", r"chunk maps over 1e\+300 base steps"),
         ("pulse.b_duration_ns = 112\nsweep.theta_max_pi = 1e6\n", "RK4 substeps per base step"),
         ("pulse.s_duration_ns = 1e300\npulse.sampling_rate_hz = 1e20\n", "needs inf RK4 base steps"),
         ("pulse.b_duration_ns = 112\nsweep.theta_max_pi = 1e302\n", r"probe strength of 1e\+302 pi"),
     ],
-    ids=["sampling_rate", "probe_duration", "strength", "step_count_overflow", "amplitude_overflow"],
+    ids=["sampling_rate", "probe_duration", "long_probe", "strength", "step_count_overflow", "amplitude_overflow"],
 )
 def test_cli_rk4_work_beyond_bound_exits_2(tmp_path, capsys, text, quantity):
     # Each asks a segment call for more RK4 work than its bound, or for a

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifdsim import UndefinedRatioError
+from ifdsim import UndefinedRatioError, rng
+from ifdsim.config import point_seed
 from ifdsim.dynamics import SAMPLE_1
 from ifdsim.metrics import (
     ShotCounts,
@@ -160,6 +161,43 @@ def test_sample_shots_statistics():
     for observed, expected in zip(fractions, p.as_array()):
         sigma = np.sqrt(expected * (1 - expected) / 1_000_000)
         assert abs(observed - expected) < 4 * sigma
+
+
+# Probability vectors that reach each branch of numpy's binomial samplers
+# at some of the shot counts below: inversion (mean <= 30), BTPE's
+# triangle, parallelogram and tails with its k <= 20 product and its
+# squeeze and Stirling bound, p > 0.5 on either sampler (n minus a draw
+# at 1 - p), p_1 / (1 - p_0) of 1 and of one ulp above it, a p below
+# half an ulp of 1 (whose 1 - p rounds to 1), zero probabilities, and the
+# early stop when no shots remain.
+SHOT_PROBABILITIES = [
+    [0.2, 0.3, 0.5],
+    [0.93, 0.05, 0.02],
+    [0.7, 0.2, 0.1],
+    [0.0, 0.4, 0.6],
+    [0.25, 0.0, 0.75],
+    [0.5, 0.5, 0.0],
+    [0.3, 0.7000000000000001, 0.0],
+    [1.0, 0.0, 0.0],
+    [1e-17, 1.0 - 1e-17, 0.0],
+    [5e-19, 1.0, 0.0],
+]
+
+
+def test_multinomial_is_numpys_stream():
+    # The seeds of the test_cli stream check; at n = 2**63 - 1 numpy's C
+    # arithmetic wraps s (n + 1) (p = 1e-17, BTPE with small k) and -k k
+    # (p = 1/2, large k), which the port repeats.
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [point_seed(base, 1, 0) for base in (1, 7919, 2**64 - 1)]
+    for seed in seeds:
+        for n in (1, 7, 50, 10**3, 10**6, 10**9, 2**63 - 1):
+            for probs in SHOT_PROBABILITIES:
+                expected = np.random.default_rng(seed).multinomial(n, probs).tolist()
+                assert rng.multinomial(seed, n, probs) == expected, (seed, n, probs)
+    for seed in range(40):
+        for probs in ([1e-17, 1.0 - 1e-17], [0.5, 0.5]):
+            expected = np.random.default_rng(seed).multinomial(2**63 - 1, probs).tolist()
+            assert rng.multinomial(seed, 2**63 - 1, probs) == expected, (seed, probs)
 
 
 def test_sample_shots_validation():

@@ -220,9 +220,9 @@ def test_dissipative_sweep_bounds_rk4_work():
         for theta in (1e300, 1e6 * np.pi):
             with pytest.raises(ValueError, match="RK4 substeps per base step, more than"):
                 dissipative_sweep([[theta]], 1, SAMPLE_1, geometry=geometry)
-        with pytest.raises(ValueError, match=r"^a segment call of \d+ RK4 chunk maps over 112 base steps"):
+        with pytest.raises(ValueError, match=r"^a segment call of 2\.08e\+06 RK4 chunk maps over 112 base steps"):
             dissipative_sweep(np.linspace(0.0, 2000 * np.pi, 2000)[:, None], 1, SAMPLE_1, geometry=geometry)
-        with pytest.raises(ValueError, match=r"^a segment call of 1 RK4 chunk maps over 1000000\d base steps"):
+        with pytest.raises(ValueError, match=r"^a segment call of 1 RK4 chunk maps over 1e\+07 base steps"):
             dissipative_sweep([[np.pi]], 1, SAMPLE_1, geometry=PulseGeometry(b_duration=1e-2))
 
 
