@@ -34,7 +34,3 @@ class ConfigError(IfdSimError):
 
 class NumericToleranceError(IfdSimError):
     """A numerical guarantee (unitarity, trace preservation) was violated."""
-
-
-class UndefinedRatioError(IfdSimError):
-    """A ratio of probabilities was requested with a zero denominator."""

@@ -34,6 +34,7 @@ def _integer(least: int, bits: int = 63):
     length takes bits = 60: numpy cannot represent more than
     (2**63 - 1) // 8 = 2**60 - 1 float64 values. The bound does not
     cover products of sizes: `n2_map` makes sweep.points**2 values.
+    Shots take bits = 53, the range of :func:`rng.multinomial`.
     """
 
     def convert(text) -> int:
@@ -107,7 +108,7 @@ KNOWN_KEYS = {
     "sweep.n_min": (_integer(1, 60), "smallest protocol size"),
     "sweep.n_max": (_integer(1, 60), "largest protocol size"),
     "sweep.random_kind": (_choice("uniform", "binary"), "strength sampler"),
-    "histogram.shots": (_integer(1), "number of sampled shots"),
+    "histogram.shots": (_integer(1, 53), "number of sampled shots"),
     "histogram.theta_pi": (_finite, "probe strength for the histogram, units of pi"),
     "rng_seed": (int, "base seed for all sampling"),
     "output_dir": (str, "directory for emitted files"),

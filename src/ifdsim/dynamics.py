@@ -147,10 +147,20 @@ class ThermalRates:
     gamma_od_02: float
 
 
-def _occupation(omega: float, temperature: float) -> float:
-    if temperature == 0:
+def _occupation(omega: float, temperature: float, transition: str) -> float:
+    """n = 1/(exp(x) - 1), x = hbar w / kB T; a kB T that underflows counts as T = 0.
+
+    An x beyond the float64 range gives n = 0. An x so small that n is
+    not finite is a ValueError naming the transition.
+    """
+    k_t = K_B * temperature
+    if k_t == 0:
         return 0.0
-    return 1.0 / np.expm1(HBAR * omega / (K_B * temperature))
+    with np.errstate(over="ignore", divide="ignore"):
+        n = 1.0 / np.expm1(HBAR * omega / k_t)
+    if not np.isfinite(n):
+        raise ValueError(f"the {transition} transition's thermal occupation is infinite (hbar omega << k_B T)")
+    return n
 
 
 def thermal_rates(model: DecoherenceModel) -> ThermalRates:
@@ -159,8 +169,8 @@ def thermal_rates(model: DecoherenceModel) -> ThermalRates:
     Occupation numbers n = 1/(exp(hbar w / kB T) - 1) give up rates
     n * Gamma and down rates (n + 1) * Gamma per transition.
     """
-    n01 = _occupation(model.omega01, model.temperature)
-    n12 = _occupation(model.omega12, model.temperature)
+    n01 = _occupation(model.omega01, model.temperature, "0-1")
+    n12 = _occupation(model.omega12, model.temperature, "1-2")
     up01 = n01 * model.gamma10
     down10 = (n01 + 1.0) * model.gamma10
     up12 = n12 * model.gamma21
@@ -177,11 +187,13 @@ def thermal_rates(model: DecoherenceModel) -> ThermalRates:
 
 
 def thermal_state(model: DecoherenceModel) -> DensityMatrix:
-    """Diagonal Boltzmann state over E = (0, hbar w01, hbar (w01 + w12))."""
-    if model.temperature == 0:
+    """Diagonal Boltzmann state over E = (0, hbar w01, hbar (w01 + w12)); the ground state where kB T underflows."""
+    k_t = K_B * model.temperature
+    if k_t == 0:
         return DensityMatrix(np.diag([1.0, 0.0, 0.0]).astype(complex))
     energies = HBAR * np.array([0.0, model.omega01, model.omega01 + model.omega12])
-    weights = np.exp(-energies / (K_B * model.temperature))
+    with np.errstate(over="ignore"):
+        weights = np.exp(-energies / k_t)
     weights /= weights.sum()
     return DensityMatrix(np.diag(weights).astype(complex))
 

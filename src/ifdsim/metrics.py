@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import UndefinedRatioError
 from .protocol import OutcomeProbabilities
 from .rng import multinomial
 
@@ -32,22 +31,19 @@ class ShotCounts:
 
 
 def pr_nr(p: OutcomeProbabilities) -> tuple[float, float]:
-    """(PR, NR) = (p0, p1) / (p0 + p1); raises if no run survives absorption.
-
-    Elementwise when p holds columns; raises if any row's p0 + p1 is <= 0.
-    """
-    denom = p.p0 + p.p1
-    if np.any(denom <= 0.0):
-        raise UndefinedRatioError("p0 + p1 = 0: positive/negative ratios undefined")
-    return p.p0 / denom, p.p1 / denom
+    """(PR, NR) = (p0, p1) / (p0 + p1), each nan where p0 + p1 <= 0; elementwise when p holds columns."""
+    return efficiency(p.p0, p.p1), efficiency(p.p1, p.p0)
 
 
 def efficiency(p_success, p_absorb):
-    """Success fraction among conclusive outcomes, for floats or arrays."""
+    """p_success / (p_success + p_absorb) where the sum is > 0, and nan elsewhere.
+
+    The one rule for an undefined ratio: elementwise on arrays, an
+    np.float64 for scalars, and never a warning or an exception.
+    """
     denom = p_success + p_absorb
-    if np.any(denom <= 0.0):
-        raise UndefinedRatioError("p_success + p_absorb = 0: efficiency undefined")
-    return p_success / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, np.divide(p_success, denom), np.nan)[()]
 
 
 def cumulative_absorption(per_segment) -> float:
@@ -63,10 +59,10 @@ def sample_shots(p: OutcomeProbabilities, n_shots: int, seed: int) -> ShotCounts
 
     The clipped, renormalised probabilities go to :func:`rng.multinomial`,
     a port of numpy's sampler that equals its counts bit for bit for a
-    seed < 2**64 without importing numpy.random.
+    seed < 2**64 and n_shots < 2**53 without importing numpy.random.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    if not 1 <= n_shots < 2**53:
+        raise ValueError(f"n_shots must lie in [1, 2**53 - 1], got {n_shots}")
     probs = p.as_array()
     if np.any(probs < -1e-12) or not np.isclose(probs.sum(), 1.0, atol=1e-6):
         raise ValueError(f"outcome probabilities must sum to 1, got {probs}")

@@ -108,7 +108,11 @@ def _doubles(seed: int) -> Iterator[float]:
 
 
 def multinomial(seed: int, n: int, probs: Sequence[float]) -> list[int]:
-    """np.random.default_rng(seed).multinomial(n, probs) for a seed < 2**64 and 0 <= n < 2**63.
+    """np.random.default_rng(seed).multinomial(n, probs) for a seed < 2**64 and 0 <= n < 2**53.
+
+    Below 2**53 shots BTPE's |y - m| stays under about 9e8, so none of
+    numpy's int64 products wraps and the counts are binomial draws; above
+    it numpy's own counts can come from wrapped arithmetic.
 
     numpy's random_multinomial: category j takes binomial(n_j, p_j / (1 -
     p_0 - ... - p_{j-1})) of the n_j shots still unassigned, the draws stop
@@ -160,11 +164,6 @@ def _inversion(doubles: Iterator[float], n: int, p: float) -> int:
     return x
 
 
-def _int64(value: int) -> int:
-    """value wrapped to int64, as numpy's C arithmetic leaves it."""
-    return (value + 2**63) % 2**64 - 2**63
-
-
 def _btpe(doubles: Iterator[float], n: int, p: float) -> int:
     """numpy's random_binomial_btpe, its steps 10 to 60 in order, on r = min(p, 1 - p)."""
     r = min(p, 1.0 - p)
@@ -211,9 +210,9 @@ def _btpe(doubles: Iterator[float], n: int, p: float) -> int:
             v = v * (u - p3) * lamr
         k = abs(y - m)
         if k <= 20 or float(k) >= nrq / 2.0 - 1:
-            # Explicit f(y) / f(m) as a product; s (n + 1) wraps at n = 2**63 - 1 as in C.
+            # Explicit f(y) / f(m) as a product.
             s = r / q
-            a = s * _int64(n + 1)
+            a = s * (n + 1)
             f = 1.0
             for i in range(m + 1, y + 1):
                 f *= a / i - s
@@ -225,7 +224,7 @@ def _btpe(doubles: Iterator[float], n: int, p: float) -> int:
         # Squeeze on log v, then the bound from Stirling's formula; C's log
         # gives -inf at v = 0 and nan below, which the comparisons accept.
         rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
-        t = _int64(-k * k) / (2 * nrq)
+        t = -k * k / (2 * nrq)
         log_v = math.log(v) if v > 0.0 else (-math.inf if v == 0.0 else math.nan)
         if log_v < t - rho:
             break

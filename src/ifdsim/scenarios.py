@@ -212,15 +212,6 @@ def _probabilities(
     return populations(_dissipative_run(config, thetas, n, kind, preset, b_ns))
 
 
-def _ratios_or_nan(ratios, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ratios(a, b), one or more columns, on the rows where a + b > 0, and nan where a + b = 0."""
-    defined = a + b > 0.0
-    values = np.atleast_2d(ratios(a[defined], b[defined]))
-    out = np.full((len(values), len(a)), np.nan)
-    out[:, defined] = values
-    return out
-
-
 class _Columns(Sequence):
     """Rows read from equal-length columns; a row tuple exists only while it is read."""
 
@@ -238,11 +229,10 @@ class _Columns(Sequence):
 
 
 def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> _Columns:
-    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c) from columns; pr and nr are nan where p0 + p1 = 0."""
+    """Rows (theta columns..., p0, p1, p2, pr, nr, eta_c) from columns; a ratio is nan where its denominator is <= 0."""
     probs = OutcomeProbabilities(*p.T)
-    pr, nr = _ratios_or_nan(lambda p0, p1: pr_nr(OutcomeProbabilities(p0, p1, 0.0)), probs.p0, probs.p1)
-    (eta,) = _ratios_or_nan(efficiency, probs.p0, probs.p2)
-    return _Columns(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, eta)
+    pr, nr = pr_nr(probs)
+    return _Columns(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, efficiency(probs.p0, probs.p2))
 
 
 def _run_n1_sweep(config: ExperimentConfig) -> SweepResult:

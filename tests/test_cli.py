@@ -219,7 +219,7 @@ def test_multi_random_builds_no_generator(tmp_path, monkeypatch, kind):
         assert (tmp_path / "port" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
 
 
-@pytest.mark.parametrize("shots", [1_000_000, 2**63 - 1])
+@pytest.mark.parametrize("shots", [1_000_000, 2**53 - 1])
 def test_histogram_builds_no_generator(tmp_path, monkeypatch, shots):
     # The shot counts come without a numpy generator and are written as
     # the bytes that default_rng(point_seed).multinomial gives.
@@ -410,6 +410,7 @@ _UNREPRESENTABLE = str(2**62)
     [
         ("n1_sweep", "# r\u00e9glage du balayage\nsweep.points = 3\n", None),
         ("histogram", f"histogram.shots = {_TOO_BIG}\n", "histogram.shots"),
+        ("histogram", f"histogram.shots = {2**53}\n", "histogram.shots"),
         ("multi_random", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n", "sweep.m"),
         ("multi_identical", f"model.kind = ideal\nsweep.n_max = 1\nsweep.m = {_TOO_BIG}\n", "sweep.m"),
         ("n1_sweep", f"sweep.points = {_TOO_BIG}\n", "sweep.points"),
@@ -421,15 +422,16 @@ _UNREPRESENTABLE = str(2**62)
         ("majorana_trajectory", f"protocol.n = {_UNREPRESENTABLE}\n", "protocol.n"),
         ("projective_compare", f"sweep.n_min = {_UNREPRESENTABLE}\nsweep.n_max = {_UNREPRESENTABLE}\n", "sweep.n_min"),
     ],
-    ids=["non_ascii_comment", "histogram_shots", "multi_random_m", "multi_identical_m", "n1_points",
-         "histogram_n", "n1_points_unrepresentable", "n2_points_unrepresentable",
+    ids=["non_ascii_comment", "histogram_shots", "histogram_shots_2_53", "multi_random_m", "multi_identical_m",
+         "n1_points", "histogram_n", "n1_points_unrepresentable", "n2_points_unrepresentable",
          "multi_identical_m_unrepresentable", "multi_random_m_unrepresentable", "majorana_n_unrepresentable",
          "compare_n_unrepresentable"],
 )
 def test_cli_unreadable_file_or_oversized_integer_exits_2(tmp_path, capsys, scenario, text, key):
     # A config file must be ASCII, and integer keys stop at 2**63 - 1
     # (rng_seed is hashed, so it has no upper bound); sizes stop at
-    # 2**60 - 1, the most float64 values numpy can represent.
+    # 2**60 - 1, the most float64 values numpy can represent, and shots
+    # at 2**53 - 1, below which numpy's binomial arithmetic cannot wrap.
     err = assert_config_error(tmp_path, capsys, scenario, text)
     if key is not None:
         assert f"'{key}'" in err
@@ -532,7 +534,7 @@ ABSORBED_AT_2PI_PI = DECOHERENCE_FREE + (
 # most 3, n2_map always gets sweep.points and majorana_trajectory
 # protocol.n, so an example takes at most a few tenths of a second.
 _INT_EDGE = ("0", "-1", "2.5", "abc", _TOO_BIG)
-_FLOAT_EDGE = ("0", "-1", "nan", "inf", "")
+_FLOAT_EDGE = ("0", "-1", "nan", "inf", "", "1e300", "1e-300", "5e-324", "-0.0")
 _FUZZ_VALUES = {
     "sweep.points": ("2", "3") + _INT_EDGE,
     "sweep.m": ("1", "2") + _INT_EDGE,
@@ -540,7 +542,7 @@ _FUZZ_VALUES = {
     "sweep.n_max": ("1", "3", "25", "26", "30") + _INT_EDGE,
     "protocol.n": ("1", "2", "3") + _INT_EDGE,
     "histogram.shots": ("1", "100") + _INT_EDGE,
-    "sweep.theta_max_pi": ("1", "4", "5", "1e300") + _FLOAT_EDGE,
+    "sweep.theta_max_pi": ("1", "4", "5") + _FLOAT_EDGE,
     "histogram.theta_pi": ("1", "3.9", "5") + _FLOAT_EDGE,
     "protocol.thetas_pi": ("1", "0.5,1", "4.5", "1,2,3", "1,inf") + _FLOAT_EDGE,
     "model.kind": ("ideal", "lindblad", "lindblad_depol", "lindbladd"),
@@ -549,6 +551,7 @@ _FUZZ_VALUES = {
     "decoherence.temperature_k": ("0.05", "1") + _FLOAT_EDGE,
     "decoherence.gamma10_hz": ("1e6", "1e11") + _FLOAT_EDGE,
     "decoherence.gphi02_hz": ("1e6",) + _FLOAT_EDGE,
+    "decoherence.omega01_hz": ("5e9",) + _FLOAT_EDGE,
     "decoherence.omega12_hz": ("4.6e9",) + _FLOAT_EDGE,
     "pulse.s_duration_ns": ("56", "20") + _FLOAT_EDGE,
     "pulse.b_duration_ns": ("56", "112", "20") + _FLOAT_EDGE,
@@ -590,15 +593,17 @@ def config_cases(draw):
 @example(case=("n2_map", ABSORBED_AT_2PI_PI))
 @given(case=config_cases())
 def test_cli_exit_code_contract_on_random_configs(case):
-    # Any config text ends in exit 0, 2 or 3, never in a traceback, and a
-    # failed run leaves no output directory behind.
+    # Any config text ends in exit 0, 2 or 3, never in a traceback or a
+    # warning, and a failed run leaves no output directory behind.
     scenario, text = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "fuzz.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
         out = os.path.join(tmp, "out")
-        code = main([scenario, "--config", cfg, "--out", out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([scenario, "--config", cfg, "--out", out])
         assert code in (0, 2, 3)
         assert code == 0 or not os.path.exists(out)
 
@@ -699,6 +704,47 @@ def test_cli_out_of_domain_values_exit_2(tmp_path, capsys, text):
     cfg = write(tmp_path, "bad.cfg", "sweep.points = 3\n" + text)
     assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("decoherence.temperature_k = 5e-324\nprotocol.initial = ground\n", None),
+        ("decoherence.temperature_k = 5e-324\n", None),
+        ("decoherence.temperature_k = 1e-300\n", None),
+        ("decoherence.omega01_hz = 1e300\n", None),
+        ("decoherence.omega12_hz = 1e300\ndecoherence.temperature_k = 1e-300\n", None),
+        ("decoherence.omega01_hz = 1e-300\n", "the 0-1 transition's thermal occupation is infinite"),
+        ("decoherence.omega12_hz = 5e-324\n", "the 1-2 transition's thermal occupation is infinite"),
+    ],
+    ids=["underflowing_kT_ground", "underflowing_kT_thermal", "overflowing_x", "overflowing_x_omega01",
+         "overflowing_x_omega12", "infinite_occupation_01", "infinite_occupation_12"],
+)
+def test_cli_extreme_thermal_values_exit_0_or_2(tmp_path, capsys, text, error):
+    # A k_B T that underflows to 0 counts as T = 0, an hbar omega / k_B T
+    # beyond float64 gives no thermal occupation, and an occupation that is
+    # not finite is a config error: no traceback and no numpy warning.
+    cfg = write(tmp_path, "t.cfg", "model.kind = lindblad\nsweep.points = 3\n" + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    if error is None:
+        assert (code, err, len(out.splitlines())) == (0, "", 1)
+    else:
+        assert code == 2 and re.fullmatch(f"config error: {error}.*\n", err)
+
+
+@pytest.mark.parametrize("initial", ["ground", "thermal"])
+def test_cli_underflowing_temperature_writes_the_zero_temperature_bytes(tmp_path, initial):
+    csv = {}
+    for temperature in ("0", "5e-324", "1e-300"):
+        text = f"model.kind = lindblad\nsweep.points = 3\nprotocol.initial = {initial}\n"
+        cfg = write(tmp_path, f"{temperature}.cfg", text + f"decoherence.temperature_k = {temperature}\n")
+        assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / temperature)]) == 0
+        csv[temperature] = (tmp_path / temperature / "n1_sweep.csv").read_bytes()
+    assert csv["5e-324"] == csv["0"]
+    assert csv["1e-300"] == csv["0"]
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
