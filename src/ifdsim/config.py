@@ -46,8 +46,9 @@ def _integer(least: int, bits: int = 63):
     return convert
 
 
-def _number(least: float = -np.inf, strict: bool = False):
-    """Converter to a finite float >= least, or > least when strict."""
+def _number(least: float = -np.inf, strict: bool = False, scale: float = 1.0):
+    """Converter to a finite float >= least, or > least when strict, whose
+    product with scale (the factor the program converts it by) is finite too."""
 
     def convert(text: str) -> float:
         value = float(text)
@@ -55,6 +56,8 @@ def _number(least: float = -np.inf, strict: bool = False):
             raise ValueError(f"expected a finite number, got {text.strip()!r}")
         if value < least or (strict and value == least):
             raise ValueError(f"must be {'>' if strict else '>='} {least:g}, got {value:g}")
+        if not np.isfinite(scale * value):
+            raise ValueError(f"must be at most {np.finfo(float).max / scale:g} in magnitude, got {value:g}")
         return value
 
     return convert
@@ -71,13 +74,14 @@ def _choice(*names: str):
     return convert
 
 
-_finite = _number()
+_angle = _number(scale=np.pi)  # in units of pi
+_frequency = _number(0.0, strict=True, scale=2.0 * np.pi)  # plain Hz, taken as angular
 _positive = _number(0.0, strict=True)
 _non_negative = _number(0.0)
 
 
-def _finite_list(text: str) -> tuple[float, ...]:
-    return tuple(_finite(x) for x in text.split(","))
+def _angle_list(text: str) -> tuple[float, ...]:
+    return tuple(_angle(x) for x in text.split(","))
 
 
 # key -> (converter, description). A converter is the whole rule for its
@@ -86,12 +90,12 @@ def _finite_list(text: str) -> tuple[float, ...]:
 KNOWN_KEYS = {
     "scenario": (str, "scenario name (must match the CLI argument when both given)"),
     "protocol.n": (_integer(1, 60), "number of probe segments N"),
-    "protocol.thetas_pi": (_finite_list, "per-segment strengths in units of pi"),
+    "protocol.thetas_pi": (_angle_list, "per-segment strengths in units of pi"),
     "protocol.initial": (_choice("ground", "thermal", "level1"), "start state"),
     "model.kind": (_choice(*MODELS), "propagation model"),
     "decoherence.preset": (_choice(*PRESETS), "device parameter set"),
-    "decoherence.omega01_hz": (_positive, "0-1 transition frequency (plain Hz)"),
-    "decoherence.omega12_hz": (_positive, "1-2 transition frequency (plain Hz)"),
+    "decoherence.omega01_hz": (_frequency, "0-1 transition frequency (plain Hz)"),
+    "decoherence.omega12_hz": (_frequency, "1-2 transition frequency (plain Hz)"),
     "decoherence.gamma10_hz": (_non_negative, "zero-temperature 1->0 decay rate (1/s)"),
     "decoherence.gamma21_hz": (_non_negative, "zero-temperature 2->1 decay rate (1/s)"),
     "decoherence.gphi10_hz": (_non_negative, "0-1 transition dephasing rate (1/s)"),
@@ -103,13 +107,13 @@ KNOWN_KEYS = {
     "pulse.sampling_rate_hz": (_positive, "waveform sampling rate"),
     "pulse.stretch": (_parse_bool, "stretch 56 ns probe pulses above 3.38 pi"),
     "sweep.points": (_integer(2, 60), "grid points per strength axis"),
-    "sweep.theta_max_pi": (_finite, "upper end of the strength grid, units of pi"),
+    "sweep.theta_max_pi": (_angle, "upper end of the strength grid, units of pi"),
     "sweep.m": (_integer(1, 60), "realisations per protocol size"),
     "sweep.n_min": (_integer(1, 60), "smallest protocol size"),
     "sweep.n_max": (_integer(1, 60), "largest protocol size"),
     "sweep.random_kind": (_choice("uniform", "binary"), "strength sampler"),
     "histogram.shots": (_integer(1, 53), "number of sampled shots"),
-    "histogram.theta_pi": (_finite, "probe strength for the histogram, units of pi"),
+    "histogram.theta_pi": (_angle, "probe strength for the histogram, units of pi"),
     "rng_seed": (int, "base seed for all sampling"),
     "output_dir": (str, "directory for emitted files"),
     "threads": (_integer(1), "accepted for compatibility, no effect"),

@@ -167,23 +167,29 @@ def thermal_rates(model: DecoherenceModel) -> ThermalRates:
     """Detailed-balance rates at the model temperature.
 
     Occupation numbers n = 1/(exp(hbar w / kB T) - 1) give up rates
-    n * Gamma and down rates (n + 1) * Gamma per transition.
+    n * Gamma and down rates (n + 1) * Gamma per transition. A rate
+    beyond the float64 range is a ValueError naming the first such rate.
     """
     n01 = _occupation(model.omega01, model.temperature, "0-1")
     n12 = _occupation(model.omega12, model.temperature, "1-2")
-    up01 = n01 * model.gamma10
-    down10 = (n01 + 1.0) * model.gamma10
-    up12 = n12 * model.gamma21
-    down21 = (n12 + 1.0) * model.gamma21
-    return ThermalRates(
-        up01=up01,
-        down10=down10,
-        up12=up12,
-        down21=down21,
-        gamma_od_01=(down10 + up01) / 2.0 + model.gphi10,
-        gamma_od_12=(up12 + down21) / 2.0 + model.gphi21,
-        gamma_od_02=(down10 + down21 + up01 + up12) / 2.0 + model.gphi02,
-    )
+    with np.errstate(over="ignore"):
+        up01 = n01 * model.gamma10
+        down10 = (n01 + 1.0) * model.gamma10
+        up12 = n12 * model.gamma21
+        down21 = (n12 + 1.0) * model.gamma21
+        rates = ThermalRates(
+            up01=up01,
+            down10=down10,
+            up12=up12,
+            down21=down21,
+            gamma_od_01=(down10 + up01) / 2.0 + model.gphi10,
+            gamma_od_12=(up12 + down21) / 2.0 + model.gphi21,
+            gamma_od_02=(down10 + down21 + up01 + up12) / 2.0 + model.gphi02,
+        )
+    for name, rate in vars(rates).items():
+        if not np.isfinite(rate):
+            raise ValueError(f"the {name} rate is beyond the float64 range")
+    return rates
 
 
 def thermal_state(model: DecoherenceModel) -> DensityMatrix:

@@ -1,11 +1,16 @@
 """Scenario catalog for the experiment runner.
 
-Every scenario maps a validated :class:`ExperimentConfig` to a
-:class:`SweepResult` holding CSV rows plus summary aggregates. The rows
-are a list of tuples or, for the strength sweeps, numpy columns read
-row by row, so those rows are made only as they are written. Every
-scenario runs in the calling thread, one N after another; the
-``threads`` setting is accepted and validated but has no effect.
+Every scenario is a runner in ``SCENARIOS`` that maps a validated
+:class:`ExperimentConfig` to its own results only: CSV headers, rows and
+summary aggregates (``{}`` where it has none). :func:`run_scenario` is
+the one place that builds the :class:`SweepResult`, adding the scenario
+name, the config echo and the seed. The rows are a list of tuples or,
+for the strength sweeps, numpy columns read row by row, so those rows
+are made only as they are written. The two model families, the N <= 2
+strength maps and the multi-segment sweeps, each keep their model
+defaults in one record. Every scenario runs in the calling thread, one
+N after another; the ``threads`` setting is accepted and validated but
+has no effect.
 """
 
 from __future__ import annotations
@@ -51,12 +56,23 @@ CSV_CHUNK_ROWS = 4096
 
 @dataclass
 class SweepResult:
+    """One scenario run: its CSV headers and rows, its summary aggregates and the config that made it.
+
+    A runner in SCENARIOS computes only (headers, rows, aggregates), its
+    :data:`Run`; :func:`run_scenario` adds the scenario name, a copy of
+    the config's raw values and its seed.
+    """
+
     scenario: str
     headers: tuple[str, ...]
     rows: Sequence[tuple]
     aggregates: dict = field(default_factory=dict)
     config_echo: dict = field(default_factory=dict)
     rng_seed: int = 0
+
+
+# What a scenario runner returns: (headers, rows, aggregates).
+Run = tuple[tuple[str, ...], Sequence[tuple], dict]
 
 
 def _value_format(t: type) -> str:
@@ -132,11 +148,10 @@ def _write_atomically(path: str, pieces: Iterable[str]) -> None:
 
 
 def run_scenario(config: ExperimentConfig) -> SweepResult:
+    """Run the configured scenario; the one place a SweepResult is built."""
     runner, _ = SCENARIOS[config.scenario]
-    result = runner(config)
-    result.config_echo = dict(config.raw)
-    result.rng_seed = config.rng_seed
-    return result
+    headers, rows, aggregates = runner(config)
+    return SweepResult(config.scenario, headers, rows, aggregates, dict(config.raw), config.rng_seed)
 
 
 def _n_range(config: ExperimentConfig, default_max: int, limit: int | None = None) -> range:
@@ -174,27 +189,31 @@ def _initial_state(config: ExperimentConfig, model=None):
 # Model defaults of the two scenario families: the N <= 2 strength maps
 # (ideal, sample 1, 56 ns probes) and the multi-segment sweeps
 # (depolarizing Lindblad, sample 2, 112 ns probes).
-_SMALL_N = dict(default_kind="ideal", preset="sample1", b_ns=56.0)
-_MULTI = dict(default_kind="lindblad_depol", preset="sample2", b_ns=112.0)
+_SMALL_N = dict(kind="ideal", preset="sample1", b_ns=56.0)
+_MULTI = dict(kind="lindblad_depol", preset="sample2", b_ns=112.0)
 
 
-def _dissipative_run(
-    config: ExperimentConfig, thetas: np.ndarray, n: int, kind: str, preset: str, b_ns: float, collect_checkpoints=False
-):
+def _family(n: int) -> dict:
+    """The model defaults of the family an N-segment run belongs to."""
+    return _SMALL_N if n <= 2 else _MULTI
+
+
+def _dissipative_run(config: ExperimentConfig, thetas: np.ndarray, n: int, family: dict, collect_checkpoints=False):
     """dissipative_sweep of a batch of strength vectors on the configured model, pulse geometry and start state.
 
-    A value outside the domain of the model or the pulses (a negative
+    The family's kind, preset and probe length fill in what the config
+    does not set. A value outside the domain of the model or the pulses (a negative
     temperature, a probe the 56 ns family cannot stretch to) is a
     configuration error.
     """
     try:
-        model = config.decoherence(default_preset=preset)
+        model = config.decoherence(default_preset=family["preset"])
         return dissipative_sweep(
             thetas,
             n,
             model,
-            geometry=config.geometry(default_b_ns=b_ns),
-            depolarize=(kind == "lindblad_depol"),
+            geometry=config.geometry(default_b_ns=family["b_ns"]),
+            depolarize=(config.get("model.kind", family["kind"]) == "lindblad_depol"),
             initial=_initial_state(config, model),
             collect_checkpoints=collect_checkpoints,
         )
@@ -202,14 +221,11 @@ def _dissipative_run(
         raise ConfigError(str(exc)) from None
 
 
-def _probabilities(
-    config: ExperimentConfig, thetas: np.ndarray, n: int, default_kind: str, preset: str, b_ns: float
-) -> np.ndarray:
+def _probabilities(config: ExperimentConfig, thetas: np.ndarray, n: int, family: dict) -> np.ndarray:
     """(p0, p1, p2) for a batch of strength vectors, shape (batch, 3)."""
-    kind = config.get("model.kind", default_kind)
-    if kind == "ideal":
+    if config.get("model.kind", family["kind"]) == "ideal":
         return ideal_amplitudes(n, thetas, _initial_state(config)) ** 2
-    return populations(_dissipative_run(config, thetas, n, kind, preset, b_ns))
+    return populations(_dissipative_run(config, thetas, n, family))
 
 
 class _Columns(Sequence):
@@ -235,41 +251,31 @@ def _ratio_rows(thetas: np.ndarray, p: np.ndarray) -> _Columns:
     return _Columns(*thetas.T, probs.p0, probs.p1, probs.p2, pr, nr, efficiency(probs.p0, probs.p2))
 
 
-def _run_n1_sweep(config: ExperimentConfig) -> SweepResult:
+def _run_n1_sweep(config: ExperimentConfig) -> Run:
     points = config.get("sweep.points", 181)
     theta_max = config.get("sweep.theta_max_pi", 4.0) * np.pi
     thetas = np.linspace(0.0, theta_max, points)[:, None]
-    p = _probabilities(config, thetas, 1, **_SMALL_N)
-    return SweepResult(
-        scenario="n1_sweep",
-        headers=("theta_rad", "p0", "p1", "p2", "pr", "nr", "eta_c"),
-        rows=_ratio_rows(thetas, p),
-        aggregates={"grid_points": points, "theta_max_rad": theta_max},
-    )
+    p = _probabilities(config, thetas, 1, _SMALL_N)
+    headers = ("theta_rad", "p0", "p1", "p2", "pr", "nr", "eta_c")
+    return headers, _ratio_rows(thetas, p), {"grid_points": points, "theta_max_rad": theta_max}
 
 
-def _run_n2_map(config: ExperimentConfig) -> SweepResult:
+def _run_n2_map(config: ExperimentConfig) -> Run:
     points = config.get("sweep.points", 161)
     theta_max = config.get("sweep.theta_max_pi", 4.0) * np.pi
     grid = np.linspace(0.0, theta_max, points)
     t1, t2 = np.meshgrid(grid, grid, indexing="ij")
     thetas = np.stack([t1.ravel(), t2.ravel()], axis=1)
-    p = _probabilities(config, thetas, 2, **_SMALL_N)
-    return SweepResult(
-        scenario="n2_map",
-        headers=("theta1_rad", "theta2_rad", "p0", "p1", "p2", "pr", "nr", "eta_c"),
-        rows=_ratio_rows(thetas, p),
-        aggregates={"grid_points": points * points},
-    )
+    p = _probabilities(config, thetas, 2, _SMALL_N)
+    headers = ("theta1_rad", "theta2_rad", "p0", "p1", "p2", "pr", "nr", "eta_c")
+    return headers, _ratio_rows(thetas, p), {"grid_points": points * points}
 
 
 # ---------------------------------------------------------------------------
 # Multi-segment sweeps
 # ---------------------------------------------------------------------------
 
-def _run_multi(
-    config: ExperimentConfig, scenario: str, m_count: int, strengths, theta_spec, extra_stats, **aggregates
-) -> SweepResult:
+def _run_multi(config: ExperimentConfig, m_count: int, strengths, theta_spec, extra_stats, **aggregates) -> Run:
     """Sweep N over sweep.n_min..n_max at the multi-segment model defaults.
 
     strengths(n) gives the (m_count, n) strengths of size n, theta_spec
@@ -279,25 +285,19 @@ def _run_multi(
     rows = []
     per_n = {}
     for n in _n_range(config, 25):
-        probs = _probabilities(config, strengths(n), n, **_MULTI)
+        probs = _probabilities(config, strengths(n), n, _MULTI)
         for m, (spec, p) in enumerate(zip(theta_spec, probs), start=1):
             rows.append((n, m, spec, *p))
         p0 = probs[:, 0]
         per_n[str(n)] = {"mean_p0": float(p0.mean()), "std_p0": float(p0.std()), **extra_stats(p0)}
-    return SweepResult(
-        scenario=scenario,
-        headers=("n", "m", "theta_spec", "p0", "p1", "p2"),
-        rows=rows,
-        aggregates={"per_n": per_n, "m": m_count, **aggregates},
-    )
+    return ("n", "m", "theta_spec", "p0", "p1", "p2"), rows, {"per_n": per_n, "m": m_count, **aggregates}
 
 
-def _run_multi_identical(config: ExperimentConfig) -> SweepResult:
+def _run_multi_identical(config: ExperimentConfig) -> Run:
     m_count = config.get("sweep.m", 180)
     theta_grid = np.arange(1, m_count + 1) * np.pi / m_count
     return _run_multi(
         config,
-        "multi_identical",
         m_count,
         strengths=lambda n: np.repeat(theta_grid[:, None], n, axis=1),
         theta_spec=theta_grid,
@@ -328,12 +328,11 @@ def _random_thetas(config: ExperimentConfig, n: int, m_count: int, kind: str) ->
     return _seeded_strengths(seeds, n, kind)
 
 
-def _run_multi_random(config: ExperimentConfig) -> SweepResult:
+def _run_multi_random(config: ExperimentConfig) -> Run:
     m_count = config.get("sweep.m", 400)
     kind = config.get("sweep.random_kind", "uniform")
     return _run_multi(
         config,
-        "multi_random",
         m_count,
         strengths=lambda n: _random_thetas(config, n, m_count, kind),
         theta_spec=[kind] * m_count,
@@ -346,12 +345,12 @@ def _run_multi_random(config: ExperimentConfig) -> SweepResult:
 # Histogram, trajectories, comparisons, tables
 # ---------------------------------------------------------------------------
 
-def _run_histogram(config: ExperimentConfig) -> SweepResult:
+def _run_histogram(config: ExperimentConfig) -> Run:
     n = config.get("protocol.n", 1)
     theta = config.get("histogram.theta_pi", 1.0) * np.pi
     shots = config.get("histogram.shots", 1_000_000)
     thetas = config.thetas(n) or (theta,) * n
-    p = _probabilities(config, np.array([thetas]), n, **(_SMALL_N if n <= 2 else _MULTI))[0]
+    p = _probabilities(config, np.array([thetas]), n, _family(n))[0]
     probs = OutcomeProbabilities(*p)
     counts = sample_shots(probs, shots, point_seed(config.rng_seed, n, 0))
     rows = [
@@ -359,19 +358,11 @@ def _run_histogram(config: ExperimentConfig) -> SweepResult:
         ("d1", counts.d1, counts.d1 / counts.total),
         ("d2", counts.d2, counts.d2 / counts.total),
     ]
-    return SweepResult(
-        scenario="histogram",
-        headers=("detector", "count", "fraction"),
-        rows=rows,
-        aggregates={
-            "shots": shots,
-            "theta_rad": list(thetas),
-            "probabilities": list(probs.as_array()),
-        },
-    )
+    aggregates = {"shots": shots, "theta_rad": list(thetas), "probabilities": list(probs.as_array())}
+    return ("detector", "count", "fraction"), rows, aggregates
 
 
-def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
+def _run_majorana_trajectory(config: ExperimentConfig) -> Run:
     n = config.get("protocol.n", 25)
     thetas = config.thetas(n) or (np.pi,) * n
     kind = config.get("model.kind", "ideal")
@@ -387,24 +378,16 @@ def _run_majorana_trajectory(config: ExperimentConfig) -> SweepResult:
     ideal = ideal_amplitudes(n, [thetas], ideal_init, checkpoints=True)[0]
     add("ideal", [PureState(v) for v in ideal])
     if kind != "ideal":
-        family = _SMALL_N if n <= 2 else _MULTI
-        _, checkpoints = _dissipative_run(
-            config, np.array([thetas]), n, kind, family["preset"], family["b_ns"], collect_checkpoints=True
-        )
+        _, checkpoints = _dissipative_run(config, np.array([thetas]), n, _family(n), collect_checkpoints=True)
         rho = np.concatenate(checkpoints)
         # Each Hermitian part's top eigenvector: clipping the solver's small negative
         # eigenvalues cannot move it, as a trace-1 row's largest eigenvalue is >= 1/3.
         _, vectors = np.linalg.eigh(0.5 * (rho + rho.conj().transpose(0, 2, 1)))
         add("dissipative_dominant", [PureState(v) for v in vectors[:, :, -1]])
-    return SweepResult(
-        scenario="majorana_trajectory",
-        headers=("step", "mode", "s1x", "s1y", "s1z", "s2x", "s2y", "s2z"),
-        rows=rows,
-        aggregates={"n": n, "model": kind},
-    )
+    return ("step", "mode", "s1x", "s1y", "s1z", "s2x", "s2y", "s2z"), rows, {"n": n, "model": kind}
 
 
-def _run_projective_compare(config: ExperimentConfig) -> SweepResult:
+def _run_projective_compare(config: ExperimentConfig) -> Run:
     rows = []
     for n in _n_range(config, 25):
         thetas = [np.pi] * n
@@ -428,38 +411,21 @@ def _run_projective_compare(config: ExperimentConfig) -> SweepResult:
                 cum_proj,
             )
         )
-    return SweepResult(
-        scenario="projective_compare",
-        headers=(
-            "n",
-            "p0_coh",
-            "p2_coh",
-            "eta_c",
-            "p_det_proj",
-            "p_abs_proj",
-            "eta_proj",
-            "cum_abs_coh",
-            "cum_abs_proj",
-        ),
-        rows=rows,
-    )
+    headers = ("n", "p0_coh", "p2_coh", "eta_c", "p_det_proj", "p_abs_proj", "eta_proj", "cum_abs_coh", "cum_abs_proj")
+    return headers, rows, {}
 
 
-def _run_coefficients(config: ExperimentConfig) -> SweepResult:
+def _run_coefficients(config: ExperimentConfig) -> Run:
     rows = []
     for n in _n_range(config, 4, limit=EXPANSION_MAX_N):
         tables = expansion_coefficients(n)
         for series, coeffs in zip(("amp0", "amp1", "amp2"), tables):
             for k, value in enumerate(coeffs):
                 rows.append((n, series, k, value))
-    return SweepResult(
-        scenario="coefficients",
-        headers=("n", "series", "k", "value"),
-        rows=rows,
-    )
+    return ("n", "series", "k", "value"), rows, {}
 
 
-def _run_quantized_check(config: ExperimentConfig) -> SweepResult:
+def _run_quantized_check(config: ExperimentConfig) -> Run:
     rows = []
     worst = 0.0
     for n in _n_range(config, 5):
@@ -472,12 +438,7 @@ def _run_quantized_check(config: ExperimentConfig) -> SweepResult:
                 diff = abs(quantum[level] - classical[level])
                 worst = max(worst, diff)
                 rows.append((n, photons, level, classical[level], quantum[level], diff))
-    return SweepResult(
-        scenario="quantized_check",
-        headers=("n", "n_photons", "level", "p_semiclassical", "p_quantized", "abs_diff"),
-        rows=rows,
-        aggregates={"max_abs_diff": worst},
-    )
+    return ("n", "n_photons", "level", "p_semiclassical", "p_quantized", "abs_diff"), rows, {"max_abs_diff": worst}
 
 
 # name -> (runner, CSV file name): the one list of scenarios.

@@ -534,7 +534,7 @@ ABSORBED_AT_2PI_PI = DECOHERENCE_FREE + (
 # most 3, n2_map always gets sweep.points and majorana_trajectory
 # protocol.n, so an example takes at most a few tenths of a second.
 _INT_EDGE = ("0", "-1", "2.5", "abc", _TOO_BIG)
-_FLOAT_EDGE = ("0", "-1", "nan", "inf", "", "1e300", "1e-300", "5e-324", "-0.0")
+_FLOAT_EDGE = ("0", "-1", "nan", "inf", "", "1e300", "1e308", "1.7976931348623157e308", "1e-300", "5e-324", "-0.0")
 _FUZZ_VALUES = {
     "sweep.points": ("2", "3") + _INT_EDGE,
     "sweep.m": ("1", "2") + _INT_EDGE,
@@ -550,6 +550,7 @@ _FUZZ_VALUES = {
     "decoherence.preset": ("sample1", "sample2", "sample3"),
     "decoherence.temperature_k": ("0.05", "1") + _FLOAT_EDGE,
     "decoherence.gamma10_hz": ("1e6", "1e11") + _FLOAT_EDGE,
+    "decoherence.gamma21_hz": ("1e6", "1e11") + _FLOAT_EDGE,
     "decoherence.gphi02_hz": ("1e6",) + _FLOAT_EDGE,
     "decoherence.omega01_hz": ("5e9",) + _FLOAT_EDGE,
     "decoherence.omega12_hz": ("4.6e9",) + _FLOAT_EDGE,
@@ -686,24 +687,64 @@ def test_cli_rk4_work_beyond_bound_exits_2(tmp_path, capsys, text, quantity):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "scenario, text",
     [
-        "model.kind = lindblad\nsweep.theta_max_pi = 5\n",
-        "sweep.theta_max_pi = nan\n",
-        "decoherence.temperature_k = -1\n",
-        "model.kind = lindblad\ndecoherence.temperature_k = -1\n",
-        "protocol.thetas_pi = 1,inf\n",
-        "pulse.sampling_rate_hz = 0\n",
-        "model.kind = lindblad\nsweep.theta_max_pi = -1\n",
+        ("n1_sweep", "model.kind = lindblad\nsweep.theta_max_pi = 5\n"),
+        ("n1_sweep", "sweep.theta_max_pi = nan\n"),
+        ("n1_sweep", "decoherence.temperature_k = -1\n"),
+        ("n1_sweep", "model.kind = lindblad\ndecoherence.temperature_k = -1\n"),
+        ("n1_sweep", "protocol.thetas_pi = 1,inf\n"),
+        ("n1_sweep", "pulse.sampling_rate_hz = 0\n"),
+        ("n1_sweep", "model.kind = lindblad\nsweep.theta_max_pi = -1\n"),
+        ("n1_sweep", "sweep.theta_max_pi = 1e308\n"),
+        ("n1_sweep", "model.kind = lindblad_depol\nsweep.theta_max_pi = 1e308\n"),
+        ("n2_map", "sweep.theta_max_pi = 1e308\n"),
+        ("n2_map", "model.kind = lindblad_depol\nsweep.theta_max_pi = -1e308\n"),
+        ("histogram", "protocol.thetas_pi = 1e308\n"),
+        ("histogram", "histogram.theta_pi = 1e308\n"),
+        ("majorana_trajectory", "protocol.n = 2\nprotocol.thetas_pi = 1e308\n"),
+        ("majorana_trajectory", "protocol.n = 2\nmodel.kind = lindblad\nprotocol.thetas_pi = 1,1e308\n"),
+        ("n1_sweep", "model.kind = lindblad\ndecoherence.omega01_hz = 1e308\n"),
+        ("n1_sweep", "model.kind = lindblad\ndecoherence.omega12_hz = 1e308\n"),
     ],
     ids=["stretch_out_of_range", "nan_theta", "negative_temperature_ideal",
          "negative_temperature_lindblad", "infinite_theta_list", "zero_sampling_rate",
-         "negative_theta_lindblad"],
+         "negative_theta_lindblad", "theta_max_1e308_ideal", "theta_max_1e308_depol",
+         "n2_map_theta_max_1e308_ideal", "n2_map_theta_max_minus_1e308_depol", "histogram_thetas_1e308",
+         "histogram_theta_1e308", "majorana_thetas_1e308_ideal", "majorana_thetas_1e308_lindblad",
+         "omega01_1e308", "omega12_1e308"],
 )
-def test_cli_out_of_domain_values_exit_2(tmp_path, capsys, text):
+def test_cli_out_of_domain_values_exit_2(tmp_path, capsys, scenario, text):
+    # One config error line, no traceback and no numpy warning.
     cfg = write(tmp_path, "bad.cfg", "sweep.points = 3\n" + text)
-    assert main(["n1_sweep", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
+    assert re.fullmatch("config error: [^\n]*\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "rates, rate",
+    [
+        ("decoherence.gamma10_hz = 1.7976931348623157e308\n", "down10"),
+        ("decoherence.gamma21_hz = 1.7976931348623157e308\n", "down21"),
+        ("decoherence.gamma10_hz = 1e308\ndecoherence.gamma21_hz = 1e308\n", "gamma_od_02"),
+    ],
+    ids=["gamma10_max", "gamma21_max", "rate_sum"],
+)
+@pytest.mark.parametrize(
+    "scenario", ["n1_sweep", "n2_map", "multi_identical", "multi_random", "histogram", "majorana_trajectory"]
+)
+def test_cli_rate_beyond_float64_exits_2(tmp_path, capsys, scenario, rates, rate):
+    # A decay rate at the float64 maximum overflows its thermal down rate,
+    # and two at 1e308 their sum: a config error naming the first rate
+    # beyond float64, with no numpy warning.
+    text = "model.kind = lindblad_depol\nsweep.points = 3\nsweep.m = 2\nsweep.n_max = 3\nprotocol.n = 3\n"
+    cfg = write(tmp_path, "rate.cfg", text + rates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([scenario, "--config", cfg, "--out", str(tmp_path / "rate")]) == 2
+    assert capsys.readouterr().err == f"config error: the {rate} rate is beyond the float64 range\n"
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,11 @@ def assert_matches(actual, expected, where: str) -> None:
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_outputs_match_reference(name):
     case = REFERENCE[name]
-    result = run_scenario(parse_config_text(case["config"], case["scenario"]))
+    config = parse_config_text(case["config"], case["scenario"])
+    result = run_scenario(config)
+    # run_scenario names the result and echoes a copy of the config it ran.
+    assert (result.scenario, result.rng_seed) == (case["scenario"], config.rng_seed)
+    assert result.config_echo == config.raw and result.config_echo is not config.raw
     assert list(result.headers) == case["headers"]
     assert len(result.rows) == case["row_count"]
     # The values as summary.json and the CSV hold them: JSON aggregates, plain Python rows.
