@@ -336,13 +336,14 @@ def substep_counts(amps, span: float, dt: float) -> tuple[np.ndarray, float]:
     """RK4 substeps per base step for each amplitude over span, and the group width w.
 
     The span is cut into grid_steps(span, dt) base steps of length h, and
-    amplitude a takes g = max(1, ceil(a h / MAX_PHASE_PER_STEP)) substeps
-    of each. Substep group g therefore holds the amplitudes in
+    amplitude a takes g = max(1, ceil(|a| h / MAX_PHASE_PER_STEP)) substeps
+    of each, so a and -a, which differ by a gauge, take the same substeps.
+    Substep group g therefore holds the amplitudes of magnitude in
     ((g - 1) w, g w], w = MAX_PHASE_PER_STEP / h, and group 1 also a = 0.
     A g above MAX_CHUNK_MAPS raises ValueError.
     """
     base_step = span / grid_steps(span, dt)
-    counts = np.ceil(np.asarray(amps, dtype=float) * base_step / MAX_PHASE_PER_STEP)
+    counts = np.ceil(np.abs(np.asarray(amps, dtype=float)) * base_step / MAX_PHASE_PER_STEP)
     if np.any(counts > MAX_CHUNK_MAPS):
         raise ValueError(f"a pulse needs {np.max(counts):.3g} RK4 substeps per base step, more than {MAX_CHUNK_MAPS}")
     return np.maximum(1, counts).astype(int), MAX_PHASE_PER_STEP / base_step
@@ -357,19 +358,19 @@ def _rk4_maps(amps, shapes, which, l_h, l_d, dt: float) -> tuple[np.ndarray, np.
     [t0, t0 + span] of its shape. A span is cut into
     B = grid_steps(span, dt) equal base steps, each split into the
     substeps the row's amplitude needs (:func:`substep_counts`), so a row
-    of substep group g takes n = B g steps of span / n, with the envelope
-    at its own nodes t0 + (span / n) i and midpoints.
+    of substep group g takes n = B g steps of h = span / n, with the
+    envelope at its own nodes t0 + h i and midpoints.
 
-    Those n steps run as g chunks of B steps, chunk c over steps c B to
-    (c + 1) B. Each chunk of each distinct (amplitude, shape) is stepped
-    once, on d identity columns, which gives its d x d chunk map, and the
-    key's map composes its chunk maps 0..g - 1 in order: for a linear
-    segment the same discretisation (Havel, J. Math. Phys. 44, 534
-    (2003)), with rounding of order 1e-15. One loop steps every column:
-    the blocks are laid out longest shape first, step i advances the
-    prefix of columns that still have steps left, and a finished column
-    is not touched again, so a call costs its longest shape's B steps. A
-    key's map depends on its shape and amplitude alone.
+    A key is one distinct (shape, substep group, amplitude). Its n steps
+    run as g blocks, chunk c over steps c B to (c + 1) B, each stepped once
+    on d identity columns into its d x d chunk map, and the key's map
+    composes its chunk maps 0..g - 1 in order: for a linear segment the
+    same discretisation (Havel, J. Math. Phys. 44, 534 (2003)), with
+    rounding of order 1e-15. A block reads a e(t) at its nodes and
+    midpoints from its own column of two drive tables. One loop steps every
+    column, keys longest shape first: step i advances the prefix of columns
+    with steps left and a finished column is not touched again, so a call
+    costs its longest shape's B steps, and a key's map depends on it alone.
 
     L_H and L_D are real, and maps[key_of[r]] is row r's float64 map.
     More than MAX_CHUNK_MAPS chunk maps, or MAX_MAP_STEPS chunk maps times
@@ -384,56 +385,46 @@ def _rk4_maps(amps, shapes, which, l_h, l_d, dt: float) -> tuple[np.ndarray, np.
         k += l_d @ y
         return k
 
-    # A schedule is one (shape, substep group) pair: its steps share
-    # their count, length and envelope samples. Schedules are numbered
-    # longest shape first, so their base step counts never increase.
+    # Keys: np.unique over (rank, shape, group, amplitude), rank being the
+    # shape's place longest first (ties by index), so base steps never increase.
     shape_steps = [grid_steps(span, dt) for _, _, span in shapes]
-    schedule = np.empty(len(amps), dtype=int)
-    schedules = []  # (shape index, substep group)
-    for k in sorted(range(len(shapes)), key=lambda k: -shape_steps[k]):
+    order = sorted(range(len(shapes)), key=lambda k: -shape_steps[k])
+    group = np.empty(len(amps))
+    for k in order:
         on_shape = np.flatnonzero(which == k)
-        subcounts, _ = substep_counts(amps[on_shape], shapes[k][2], dt)
-        groups, inverse = np.unique(subcounts, return_inverse=True)
-        schedule[on_shape] = len(schedules) + inverse
-        schedules += [(k, int(g)) for g in groups]
-    group = np.array([g for _, g in schedules], dtype=int)
-
-    # Chunk maps: each distinct (schedule, amplitude) steps its chunks
-    # 0..g - 1 as g blocks of d identity columns. np.unique orders the
-    # keys by schedule, so the columns' step counts never increase.
-    keys, key_of = np.unique(np.stack([schedule, amps]), axis=1, return_inverse=True)
-    key_schedule = keys[0].astype(int)
-    blocks = group[key_schedule]
+        group[on_shape], _ = substep_counts(amps[on_shape], shapes[k][2], dt)
+    keys, key_of = np.unique(np.stack([np.argsort(order)[which], which, group, amps]), axis=1, return_inverse=True)
+    key_shape, blocks = keys[1].astype(int), keys[2].astype(int)
     total, longest = int(blocks.sum()), max(shape_steps, default=0)
     if total > MAX_CHUNK_MAPS or total * longest > MAX_MAP_STEPS:
         raise ValueError(f"a segment call of {total:.3g} RK4 chunk maps over {longest:.3g} base steps exceeds the work bound")
-    base = np.array([shape_steps[k] for k, _ in schedules], dtype=int)
-    first_block = np.cumsum(blocks) - blocks
-    block_key = np.repeat(np.arange(len(blocks)), blocks)
-    block_schedule = key_schedule[block_key]
+    # Block j is chunk chunk[j] of key block_key[j]; a key's blocks are consecutive.
+    first_block, block_key = np.cumsum(blocks) - blocks, np.repeat(np.arange(len(blocks)), blocks)
+    block_shape, chunk = key_shape[block_key], np.arange(total) - first_block[block_key]
 
-    # Envelope samples, one column (lane) per chunk of each schedule:
-    # e(t0 + (c B + i) h) and e(t0 + (c B + i + 1/2) h) in lane lane0[s] + c.
-    lane0 = np.cumsum(group) - group
-    env_node = np.zeros((longest + 1, int(group.sum())))
-    env_mid = np.zeros((longest, int(group.sum())))
-    steps = np.empty(len(schedules))
-    for s, (k, g) in enumerate(schedules):
+    # Drive tables, one column per block: chunk c of key (shape, g, a) holds
+    # a e(t0 + (c B + i) h) and a e(t0 + (c B + i + 1/2) h), h = span / (B g).
+    drive_nodes, drive_mids = np.zeros((longest + 1, total)), np.zeros((longest, total))
+    base, step = np.empty(total, dtype=int), np.empty(total)
+    for k in set(key_shape.tolist()):
         envelope, t0, span = shapes[k]
-        b, lanes = base[s], slice(lane0[s], lane0[s] + g)
-        steps[s] = step = span / (b * g)
-        nodes = t0 + step * np.arange(b * g + 1)
-        chunk = b * np.arange(g)
-        env_node[: b + 1, lanes] = envelope(nodes)[np.arange(b + 1)[:, None] + chunk]
-        env_mid[:b, lanes] = envelope(nodes[:-1] + 0.5 * step)[np.arange(b)[:, None] + chunk]
+        b, on = shape_steps[k], np.flatnonzero(block_shape == k)
+        groups, of_group = np.unique(blocks[block_key[on]], return_inverse=True)
+        steps, sizes = span / (b * groups), b * groups + 1
+        base[on], step[on] = b, steps[of_group]
+        # one envelope call: each group's nodes t0 + h i (i = 0..B g), then each node + h / 2
+        nodes = np.concatenate([t0 + h * np.arange(n) for h, n in zip(steps, sizes)])
+        samples = envelope(np.concatenate([nodes, nodes + 0.5 * np.repeat(steps, sizes)]))
+        at = (np.cumsum(sizes) - sizes)[of_group] + b * chunk[on] + np.arange(b + 1)[:, None]
+        drive_nodes[: b + 1, on] = keys[3][block_key[on]] * samples[at]
+        drive_mids[:b, on] = keys[3][block_key[on]] * samples[at[:-1] + len(nodes)]
+        del nodes, samples, at  # as large as the tables, and not needed in the loop
 
-    block_lane = lane0[block_schedule] + np.arange(len(block_key)) - first_block[block_key]
-    col_steps, lane = np.repeat(base[block_schedule], d), np.repeat(block_lane, d)
-    a = np.repeat(keys[1][block_key], d)[None, :]
-    h = np.repeat(steps[block_schedule], d)[None, :]
+    col_steps, col_block = np.repeat(base, d), np.repeat(np.arange(total), d)
+    h = np.repeat(step, d)[None, :]
     half, sixth = 0.5 * h, h / 6.0
     # d columns per block: (d, d) @ (d, columns) products are the fast layout.
-    y = np.tile(np.eye(d), len(block_key))
+    y = np.tile(np.eye(d), total)
     # Step i advances the columns with more than i steps: a prefix of
     # the columns, which shrinks each time a step count is reached.
     start = 0
@@ -442,11 +433,11 @@ def _rk4_maps(amps, shapes, which, l_h, l_d, dt: float) -> tuple[np.ndarray, np.
     with np.errstate(over="ignore", invalid="ignore"):
         for stop in sorted(set(col_steps.tolist())):
             m = np.count_nonzero(col_steps > start)
-            lm, am, ym, hm, hh, sm = lane[:m], a[:, :m], y[:, :m], half[:, :m], h[:, :m], sixth[:, :m]
-            drive_next = am * env_node[start, lm]
+            bm, ym, hm, hh, sm = col_block[:m], y[:, :m], half[:, :m], h[:, :m], sixth[:, :m]
+            drive_next = drive_nodes[start, bm]
             for i in range(start, stop):
-                drive_node, drive_next = drive_next, am * env_node[i + 1, lm]
-                drive_mid = am * env_mid[i, lm]
+                drive_node, drive_next = drive_next, drive_nodes[i + 1, bm]
+                drive_mid = drive_mids[i, bm]
                 k1 = rhs(ym, drive_node)
                 k2 = rhs(ym + hm * k1, drive_mid)
                 k3 = rhs(ym + hm * k2, drive_mid)
@@ -462,7 +453,7 @@ def _rk4_maps(amps, shapes, which, l_h, l_d, dt: float) -> tuple[np.ndarray, np.
         # chunks[b][:, j] is block b's image of the j-th basis vector
         chunks = y.reshape(d, -1, d).transpose(1, 0, 2)
         maps = chunks[first_block]
-        for c in range(1, int(group.max(initial=0))):
+        for c in range(1, int(blocks.max(initial=0))):
             on = np.flatnonzero(blocks > c)
             maps[on] = chunks[first_block[on] + c] @ maps[on]
     return maps, key_of
@@ -546,13 +537,16 @@ def lindblad_segment_batch(
     one real map on vec(rho) per distinct amplitude and duration from
     :func:`liouvillian`, and each matrix goes through its own. The result
     is real when rho has no imaginary part, complex otherwise. A
-    non-finite amplitude raises ValueError.
+    non-finite amplitude or a duration that is not positive raises
+    ValueError.
     """
     rho = np.asarray(rho)
     lead = rho.shape[:-2]
     amps, durations = (np.broadcast_to(np.asarray(v, dtype=float), lead).ravel() for v in (amplitudes, duration))
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"amplitude must be finite, got {amps[~np.isfinite(amps)][0]}")
+    if not np.all(durations > 0):
+        raise ValueError(f"duration must be positive, got {durations[~(durations > 0)][0]}")
     lengths, which = np.unique(durations, return_inverse=True)
     shapes = [(partial(super_gaussian, tau=t / 4), -t / 2, t) for t in lengths]
     maps, key_of = _rk4_maps(amps, shapes, which, *liouvillian(transition, rates), dt)

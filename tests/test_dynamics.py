@@ -417,17 +417,34 @@ def test_segment_covers_pulse_when_rate_does_not_divide_it(rate):
         assert np.max(np.abs(other - reference)) < 1e-6
 
 
+@pytest.mark.parametrize("transition", ["01", "12"])
+def test_segment_batch_negative_amplitude_substeps_on_magnitude(transition):
+    # -a is the gauge diag(1, -1, 1) of +a, so it takes the substeps of
+    # |a|, and a diagonal start comes out with the same populations to the
+    # bit. Substepped on the signed a, -3e9 fell into group 1, and the 1-2
+    # drive took level 1 to populations (0.026, 1.060, -0.086).
+    rates = thermal_rates(SAMPLE_1)
+    amps = np.array([3e8, 3e9])
+    assert np.array_equal(substep_counts(-amps, 56e-9, 1e-9)[0], substep_counts(amps, 56e-9, 1e-9)[0])
+    starts = np.array([np.diag(p) for p in ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.2, 0.3, 0.5])])
+    for amp in amps:
+        plus, minus = (lindblad_segment_batch(starts, a, transition, 56e-9, rates) for a in (amp, -amp))
+        check_density_batch(minus, "negative amplitude")
+        np.testing.assert_array_equal(np.diagonal(minus, axis1=1, axis2=2), np.diagonal(plus, axis1=1, axis2=2))
+
+
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_segment_batch_mixes_shapes_bit_for_bit(complex_):
-    # Rows of 56, 57 and 61 ns probes at a = 0 and in
-    # substep groups 1..8, three rows with different starts per
-    # amplitude, so that rows of one (amplitude, shape) share their chunk
-    # maps, all interleaved in one call: the rows of each (amplitude,
-    # shape), of each shape and each row alone come out as from a call of
-    # their own, and permuting the rows permutes the result.
+    # Rows of 56, 57, 60.2, 60.7 and 61 ns probes (the last three tie at
+    # 61 base steps) at a = 0 and in substep groups 1..8, three rows with
+    # different starts per amplitude, so that rows of one (amplitude,
+    # shape) share their chunk maps, all interleaved in one call: the rows
+    # of each (amplitude, shape), of each shape and each row alone come out
+    # as from a call of their own, and permuting the rows permutes the
+    # result.
     rates, rng = thermal_rates(SAMPLE_1), np.random.default_rng(3)
     amps, durations = [], []
-    for duration_ns in (56, 57, 61):
+    for duration_ns in (56, 57, 60.2, 60.7, 61):
         duration = duration_ns * 1e-9
         _, width = substep_counts([0.0], duration, 1e-9)
         groups = np.arange(1, 9)

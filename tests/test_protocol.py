@@ -197,7 +197,9 @@ def test_ideal_amplitudes_rejects_bad_input():
 def test_dissipative_sweep_rejects_non_finite_strength():
     # A nan or inf strength must not reach substep_counts, whose int cast
     # warns and gives a negative count; the segment core takes no
-    # non-finite amplitude either. Both raise before numpy warns.
+    # non-finite amplitude either, nor a duration that is not positive
+    # (a negative one integrated backwards, and 0 divided by tau = 0). All
+    # raise before numpy warns.
     basis = np.eye(9).reshape(9, 3, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -206,6 +208,9 @@ def test_dissipative_sweep_rejects_non_finite_strength():
                 dissipative_sweep(thetas, n, SAMPLE_1)
         with pytest.raises(ValueError, match="amplitude must be finite"):
             lindblad_segment_batch(basis, [np.nan] * 9, "12", 56e-9, thermal_rates(SAMPLE_1))
+        for duration in (-56e-9, 0.0):
+            with pytest.raises(ValueError, match="duration must be positive"):
+                lindblad_segment_batch(basis, [0.0] * 9, "12", duration, thermal_rates(SAMPLE_1))
 
 
 def test_dissipative_sweep_bounds_rk4_work():
