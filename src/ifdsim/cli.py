@@ -1,12 +1,13 @@
 """Command-line experiment runner.
 
-    ifd-sim <scenario> --config <file> [--seed <u64>] [--out <dir>] [--threads <n>]
+    ifd-sim <scenario> --config <file> [--seed <int>] [--out <dir>] [--threads <n>]
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numeric
 tolerance guarantee fails during propagation. Outputs are byte-identical
 for identical (config, seed). --threads (default IFD_SIM_THREADS, then the
-config's threads) must be at least 1 but has no effect: every scenario
-runs in one thread.
+config's threads) must be at least 1 but has no effect. The process runs on
+one thread: OPENBLAS_NUM_THREADS defaults to 1 before numpy loads, as no
+product here is big enough for OpenBLAS to thread and its worker only spins.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; see above
 
 from . import ConfigError, NumericToleranceError
 from .config import load_config, parse_value

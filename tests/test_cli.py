@@ -616,6 +616,42 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize(
+    "blas_threads, tasks",
+    [
+        (None, 1),
+        pytest.param(
+            "2",
+            2,
+            marks=pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs"),
+        ),
+    ],
+    ids=["default", "caller_sets_2"],
+)
+def test_cli_process_runs_on_one_thread(tmp_path, monkeypatch, blas_threads, tasks):
+    # OpenBLAS starts its worker threads when numpy loads, and they only
+    # spin: no product of a run is big enough to thread. ifdsim.cli sets
+    # OPENBLAS_NUM_THREADS=1 unless the caller has set it, so importing the
+    # package must not load numpy before ifdsim.cli does. This process has
+    # imported ifdsim.cli, so the variable the child inherits is set or
+    # unset here.
+    if blas_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    config = tmp_path / "n2_map.cfg"
+    config.write_text("model.kind = lindblad_depol\nsweep.points = 5\n")
+    code = (
+        "import os, sys, ifdsim; assert 'numpy' not in sys.modules; from ifdsim.cli import main; "
+        f"assert main(['n2_map', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    proc = run_cli_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == str(tasks)
+
+
 def test_dissipative_runs_leave_numpy_ma_out(tmp_path):
     # numpy 2 imports numpy.ma on the first plain np.unique call, about
     # 16 ms of a fresh process; the dissipative path asks for inverses.
